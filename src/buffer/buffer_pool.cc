@@ -48,7 +48,11 @@ const uint8_t* PageGuard::data() const {
 void PageGuard::MarkDirty(Lsn lsn) {
   SIAS_CHECK(valid());
   BufferPool::Frame& f = pool_->frames_[frame_];
-  f.dirty.store(true, std::memory_order_release);
+  std::atomic<bool>& dirty = pool_->state_[frame_].dirty;
+  // Stored only when clear, for the cache-line reason of Reference().
+  if (!dirty.load(std::memory_order_relaxed)) {
+    dirty.store(true, std::memory_order_release);
+  }
   if (lsn != kInvalidLsn && lsn > f.lsn.load(std::memory_order_relaxed)) {
     f.lsn.store(lsn, std::memory_order_relaxed);
     reinterpret_cast<PageHeader*>(f.data.get())->lsn = lsn;
@@ -86,7 +90,10 @@ void PageGuard::Release() {
 
 BufferPool::BufferPool(DiskManager* disk, size_t num_frames,
                        WalFlushHook wal_flush)
-    : disk_(disk), wal_flush_(std::move(wal_flush)), frames_(num_frames) {
+    : disk_(disk),
+      wal_flush_(std::move(wal_flush)),
+      frames_(num_frames),
+      state_(num_frames) {
   SIAS_CHECK(num_frames >= 8);
   for (auto& f : frames_) {
     f.data = std::make_unique<uint8_t[]>(kPageSize);
@@ -159,7 +166,7 @@ bool BufferPool::TryFetchCached(PageId id, PageGuard* out) {
       Unpin(idx);
       continue;
     }
-    f.referenced.store(true, std::memory_order_relaxed);
+    state_[idx].Reference();
     lockfree_hits_.fetch_add(1, std::memory_order_relaxed);
     m_hits_->Increment();
     *out = PageGuard(this, idx, id);
@@ -168,8 +175,9 @@ bool BufferPool::TryFetchCached(PageId id, PageGuard* out) {
   return false;
 }
 
-Status BufferPool::WriteFrame(Frame& f, VirtualClock* clk,
+Status BufferPool::WriteFrame(size_t idx, VirtualClock* clk,
                               FlushSource source, bool* busy) {
+  Frame& f = frames_[idx];
   // Stabilize the page image: writers modify bytes under the exclusive page
   // latch, so checksumming/writing requires at least the shared latch.
   // Blocking here would invert the page-latch-then-pool-mutex order used by
@@ -238,7 +246,7 @@ Status BufferPool::WriteFrame(Frame& f, VirtualClock* clk,
                         f.lsn.load(std::memory_order_relaxed));
   }
   if (s.ok()) {
-    f.dirty.store(false, std::memory_order_release);
+    state_[idx].dirty.store(false, std::memory_order_release);
     stats_.dirty_writebacks++;
     stats_.flushes_by_source[static_cast<int>(source)]++;
     m_writebacks_->Increment();
@@ -252,13 +260,30 @@ Result<size_t> BufferPool::FindVictim(VirtualClock* clk) {
   // unreferenced frames (dirty pages are the flush policies' job — t1/t2
   // and checkpoints decide when they reach the device); if the sweep finds
   // no clean victim, it falls back to writing out a dirty one.
+  // The hand and the state array live in locals: the atomic loads below
+  // would otherwise make the compiler reload and store the members on every
+  // step. clock_hand_ is written back whenever a frame gets past the cheap
+  // skips and on every exit.
+  const size_t n = frames_.size();
+  FrameState* const states = state_.data();
+  size_t hand = clock_hand_;
   for (int phase = 0; phase < 2; ++phase) {
     bool allow_dirty = phase == 1;
-    for (size_t step = 0; step < 2 * frames_.size(); ++step) {
-      Frame& f = frames_[clock_hand_];
-      size_t idx = clock_hand_;
-      clock_hand_ = (clock_hand_ + 1) % frames_.size();
-      if (!f.valid) {
+    for (size_t step = 0; step < 2 * n; ++step) {
+      size_t idx = hand;
+      if (++hand == n) hand = 0;
+      FrameState& st = states[idx];
+      // Decided from the state array alone: sticky frames never go, and
+      // the clean-only pass skips an unreferenced dirty frame whether or
+      // not it is pinned (the common case in a mostly-dirty pool).
+      // Bitwise, not short-circuit, so a skip costs one branch.
+      bool clean_pass_skip = !allow_dirty &
+                             !st.referenced.load(std::memory_order_relaxed) &
+                             st.dirty.load(std::memory_order_acquire);
+      if (st.valid & (st.sticky | clean_pass_skip)) continue;
+      clock_hand_ = hand;
+      Frame& f = frames_[idx];
+      if (!st.valid) {
         // Never-installed (or already-evicted) frame. A pinned invalid
         // frame is privately claimed by an in-flight StartFetch whose read
         // is landing in it — not a victim. The installer expects a
@@ -269,14 +294,14 @@ Result<size_t> BufferPool::FindVictim(VirtualClock* clk) {
         }
         return idx;
       }
-      if (f.pins.load(std::memory_order_acquire) > 0 || f.sticky) continue;
-      if (f.referenced.load(std::memory_order_relaxed)) {
-        f.referenced.store(false, std::memory_order_relaxed);
+      if (f.pins.load(std::memory_order_acquire) > 0) continue;
+      if (st.referenced.load(std::memory_order_relaxed)) {
+        st.referenced.store(false, std::memory_order_relaxed);
         continue;
       }
-      if (f.dirty.load(std::memory_order_acquire)) {
+      if (st.dirty.load(std::memory_order_acquire)) {
         if (!allow_dirty) continue;
-        SIAS_RETURN_NOT_OK(WriteFrame(f, clk, FlushSource::kEviction));
+        SIAS_RETURN_NOT_OK(WriteFrame(idx, clk, FlushSource::kEviction));
       }
       // Unpublish for lock-free readers: bump the stamp odd, then re-check
       // pins. An optimistic reader pins first and re-reads the stamp, so
@@ -289,12 +314,13 @@ Result<size_t> BufferPool::FindVictim(VirtualClock* clk) {
       f.tag.store(kNoTag, std::memory_order_seq_cst);
       IndexErase(f.id, idx);
       table_.erase(f.id);
-      f.valid = false;
+      st.valid = false;
       stats_.evictions++;
       m_evictions_->Increment();
       return idx;
     }
   }
+  clock_hand_ = hand;
   return Status::OutOfSpace("buffer pool exhausted (all frames pinned)");
 }
 
@@ -311,9 +337,8 @@ Result<BufferPool::AsyncFetch> BufferPool::StartFetch(PageId id,
     MutexLock lock(&mu_);
     auto it = table_.find(id);
     if (it != table_.end()) {
-      Frame& f = frames_[it->second];
-      f.pins.fetch_add(1, std::memory_order_acquire);
-      f.referenced.store(true, std::memory_order_relaxed);
+      frames_[it->second].pins.fetch_add(1, std::memory_order_acquire);
+      state_[it->second].Reference();
       stats_.hits++;
       m_hits_->Increment();
       out.valid = true;
@@ -398,17 +423,17 @@ Result<PageGuard> BufferPool::FinishFetch(AsyncFetch* fetch,
     // A racing fetch installed the page while our read was in flight: pin
     // the winner; our private frame stays !valid/odd for the next victim
     // scan.
-    Frame& winner = frames_[it->second];
-    winner.pins.fetch_add(1, std::memory_order_acquire);
-    winner.referenced.store(true, std::memory_order_relaxed);
+    frames_[it->second].pins.fetch_add(1, std::memory_order_acquire);
+    state_[it->second].Reference();
     Unpin(fetch->frame);
     return PageGuard(this, it->second, id);
   }
+  FrameState& fs = state_[fetch->frame];
   f.id = id;
-  f.valid = true;
-  f.dirty.store(false, std::memory_order_relaxed);
-  f.sticky = false;
-  f.referenced.store(true, std::memory_order_relaxed);
+  fs.valid = true;
+  fs.dirty.store(false, std::memory_order_relaxed);
+  fs.sticky = false;
+  fs.referenced.store(true, std::memory_order_relaxed);
   f.lsn.store(sp.header()->lsn, std::memory_order_relaxed);
   // The claim pin taken in StartFetch becomes the guard pin (no extra pin
   // here); lock-free readers cannot have pinned the frame meanwhile — its
@@ -455,19 +480,20 @@ Result<PageGuard> BufferPool::NewPage(RelationId relation, VirtualClock* clk,
     old.tag.store(kNoTag, std::memory_order_seq_cst);
     IndexErase(old.id, idx);
     table_.erase(existing);
-    old.valid = false;
+    state_[idx].valid = false;
   } else {
     SIAS_ASSIGN_OR_RETURN(idx, FindVictim(clk));
   }
   Frame& f = frames_[idx];
+  FrameState& st = state_[idx];
   SlottedPage sp(f.data.get());
   sp.Init(relation, page_no, page_flags);
   PageId id{relation, page_no};
   f.id = id;
-  f.valid = true;
-  f.dirty.store(true, std::memory_order_relaxed);
-  f.sticky = false;
-  f.referenced.store(true, std::memory_order_relaxed);
+  st.valid = true;
+  st.dirty.store(true, std::memory_order_relaxed);
+  st.sticky = false;
+  st.referenced.store(true, std::memory_order_relaxed);
   f.lsn.store(kInvalidLsn, std::memory_order_relaxed);
   f.pins.fetch_add(1, std::memory_order_acq_rel);  // see FetchPage
   table_[id] = idx;
@@ -500,14 +526,15 @@ Status BufferPool::RestorePage(PageId id, const uint8_t* image,
     Lsn have = f.lsn.load(std::memory_order_relaxed);
     if (have != kInvalidLsn && have >= image_lsn) return Status::OK();
   }
+  FrameState& st = state_[idx];
   std::memcpy(f.data.get(), image, kPageSize);
   f.id = id;
-  f.valid = true;
-  f.dirty.store(true, std::memory_order_relaxed);
-  f.referenced.store(true, std::memory_order_relaxed);
+  st.valid = true;
+  st.dirty.store(true, std::memory_order_relaxed);
+  st.referenced.store(true, std::memory_order_relaxed);
   f.lsn.store(image_lsn, std::memory_order_relaxed);
   if (it == table_.end()) {
-    f.sticky = false;
+    st.sticky = false;
     f.pins.store(0, std::memory_order_release);  // single-threaded recovery
     table_[id] = idx;
     PublishFrame(idx, id);
@@ -525,10 +552,11 @@ Status BufferPool::FlushPage(PageId id, VirtualClock* clk,
       MutexLock lock(&mu_);
       auto it = table_.find(id);
       if (it == table_.end()) return Status::OK();
-      Frame& f = frames_[it->second];
-      if (!f.dirty.load(std::memory_order_acquire)) return Status::OK();
+      if (!state_[it->second].dirty.load(std::memory_order_acquire)) {
+        return Status::OK();
+      }
       bool busy = false;
-      Status s = WriteFrame(f, clk, source, &busy);
+      Status s = WriteFrame(it->second, clk, source, &busy);
       if (!busy) return s;
     }
     std::this_thread::yield();
@@ -546,7 +574,7 @@ Status BufferPool::SetSticky(PageId id, bool sticky) {
   MutexLock lock(&mu_);
   auto it = table_.find(id);
   if (it == table_.end()) return Status::NotFound("page not resident");
-  frames_[it->second].sticky = sticky;
+  state_[it->second].sticky = sticky;
   return Status::OK();
 }
 
@@ -554,12 +582,16 @@ std::vector<BufferPool::DirtyPageInfo> BufferPool::DirtyPagesWithFlags(
     bool clear_referenced) {
   MutexLock lock(&mu_);
   std::vector<DirtyPageInfo> out;
-  for (auto& f : frames_) {
-    if (f.valid && f.dirty.load(std::memory_order_acquire)) {
+  for (size_t i = 0; i < frames_.size(); ++i) {
+    FrameState& st = state_[i];
+    if (st.valid && st.dirty.load(std::memory_order_acquire)) {
+      const Frame& f = frames_[i];
       out.push_back(DirtyPageInfo{
           f.id, reinterpret_cast<const PageHeader*>(f.data.get())->flags,
-          f.referenced.load(std::memory_order_relaxed), f.sticky});
-      if (clear_referenced) f.referenced.store(false, std::memory_order_relaxed);
+          st.referenced.load(std::memory_order_relaxed), st.sticky});
+      if (clear_referenced) {
+        st.referenced.store(false, std::memory_order_relaxed);
+      }
     }
   }
   return out;
@@ -568,8 +600,11 @@ std::vector<BufferPool::DirtyPageInfo> BufferPool::DirtyPagesWithFlags(
 std::vector<PageId> BufferPool::DirtyPages() const {
   MutexLock lock(&mu_);
   std::vector<PageId> out;
-  for (const auto& f : frames_) {
-    if (f.valid && f.dirty.load(std::memory_order_acquire)) out.push_back(f.id);
+  for (size_t i = 0; i < frames_.size(); ++i) {
+    const FrameState& st = state_[i];
+    if (st.valid && st.dirty.load(std::memory_order_acquire)) {
+      out.push_back(frames_[i].id);
+    }
   }
   return out;
 }

@@ -225,19 +225,13 @@ class BufferPool {
   static constexpr uint64_t kNoTag = ~0ull;
 
   struct Frame {
-    // id/valid/sticky are guarded by the pool's mu_; Frame is a nested
-    // type, so the analysis cannot name the owning pool's capability here —
-    // the rank checker and TSan cover these.
+    // id is guarded by the pool's mu_; Frame is a nested type, so the
+    // analysis cannot name the owning pool's capability here — the rank
+    // checker and TSan cover it.
     PageId id{};
-    bool valid = false;
-    bool sticky = false;
-    /// Clock-sweep reference bit; also set by the lock-free fetch, hence
-    /// atomic (relaxed — it is a heuristic, not a correctness bit).
-    std::atomic<bool> referenced{false};
-    /// dirty/lsn are set by PageGuard::MarkDirty under the page latch (not
-    /// the pool mutex) and read by the flush paths under mu_: atomics keep
+    /// lsn is set by PageGuard::MarkDirty under the page latch (not the
+    /// pool mutex) and read by the flush paths under mu_: an atomic keeps
     /// the two sides race-free without widening any lock.
-    std::atomic<bool> dirty{false};
     std::atomic<Lsn> lsn{kInvalidLsn};
     std::atomic<int> pins{0};
     /// Identity validation for TryFetchCached (seq_cst on both sides, with
@@ -255,6 +249,33 @@ class BufferPool {
     std::unique_ptr<uint8_t[]> data;
   };
 
+  /// The per-frame bits the clock sweep decides on, kept apart from the
+  /// Frames in one compact array (4 bytes a frame) so a lap over a
+  /// mostly-dirty pool reads 4 KB per 1024 frames instead of every Frame.
+  /// One byte per bit, so each writer keeps a plain store.
+  struct FrameState {
+    /// Guarded by mu_ (see Frame::id on naming the capability).
+    bool valid = false;
+    /// Open SIAS append page: exempt from eviction. Guarded by mu_.
+    bool sticky = false;
+    /// Clock-sweep reference bit; also set by the lock-free fetch, hence
+    /// atomic (relaxed — it is a heuristic, not a correctness bit).
+    std::atomic<bool> referenced{false};
+    /// Set by PageGuard::MarkDirty under the page latch, cleared by the
+    /// flush paths under mu_ (release/acquire, like Frame::lsn).
+    std::atomic<bool> dirty{false};
+
+    /// Sets the reference bit for a hit. 16 frames share a cache line of
+    /// this array, so the bit is only stored when it is clear: repeated
+    /// hits then merely read the line, and readers on different cores do
+    /// not bounce it between them.
+    void Reference() {
+      if (!referenced.load(std::memory_order_relaxed)) {
+        referenced.store(true, std::memory_order_relaxed);
+      }
+    }
+  };
+
   // Returns frame index or error if pool exhausted.
   Result<size_t> FindVictim(VirtualClock* clk) SIAS_REQUIRES(mu_);
   /// Takes the page latch in shared mode to stabilize the image while
@@ -262,7 +283,7 @@ class BufferPool {
   /// writer) and `busy` is non-null, sets *busy and returns OK without
   /// writing — the caller retries outside mu_. Eviction victims are
   /// unpinned and therefore never latched (busy == nullptr path).
-  Status WriteFrame(Frame& f, VirtualClock* clk, FlushSource source,
+  Status WriteFrame(size_t idx, VirtualClock* clk, FlushSource source,
                     bool* busy = nullptr) SIAS_REQUIRES(mu_);
   void Unpin(size_t frame);
 
@@ -283,6 +304,7 @@ class BufferPool {
 
   mutable Mutex mu_{LatchRank::kBufferPool};
   std::vector<Frame> frames_;
+  std::vector<FrameState> state_;  ///< parallel to frames_
   std::unordered_map<PageId, size_t> table_ SIAS_GUARDED_BY(mu_);
   /// Open-addressed PageId -> frame map probed without mu_ by
   /// TryFetchCached; power-of-two size >= 4x frames, bounded linear probe.

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/logging.h"
+#include "fault/crash_point.h"
 #include "fault/debug_ring.h"
 #include "obs/metrics.h"
 
@@ -29,8 +30,20 @@ uint64_t FaultyDevice::pending_bytes() const {
   return pending_bytes_;
 }
 
+bool FaultyDevice::PassThrough() const {
+  return !options_.write_back &&
+         io_queued_.load(std::memory_order_acquire) == 0 && !crashed() &&
+         (injector_ == nullptr || internal::ArmedInjector() != injector_);
+}
+
 Status FaultyDevice::Read(uint64_t offset, size_t len, uint8_t* out,
                           VirtualClock* clk) {
+  if (PassThrough()) return inner_->Read(offset, len, out, clk);
+  return DecoratedRead(offset, len, out, clk);
+}
+
+Status FaultyDevice::DecoratedRead(uint64_t offset, size_t len, uint8_t* out,
+                                   VirtualClock* clk) {
   // Synchronous ops observe every prior submission: drain the deferred
   // queue first so read-own-writes holds across the sync/async boundary.
   ExecuteThrough(~0ull);
@@ -82,6 +95,13 @@ Status FaultyDevice::ReadImpl(uint64_t offset, size_t len, uint8_t* out,
 
 Status FaultyDevice::Write(uint64_t offset, size_t len, const uint8_t* data,
                            VirtualClock* clk, bool background) {
+  if (PassThrough()) return inner_->Write(offset, len, data, clk, background);
+  return DecoratedWrite(offset, len, data, clk, background);
+}
+
+Status FaultyDevice::DecoratedWrite(uint64_t offset, size_t len,
+                                    const uint8_t* data, VirtualClock* clk,
+                                    bool background) {
   ExecuteThrough(~0ull);
   return WriteImpl(offset, len, data, clk, background);
 }
@@ -169,6 +189,11 @@ Status FaultyDevice::Trim(uint64_t offset, size_t len) {
 }
 
 Status FaultyDevice::Sync(VirtualClock* clk) {
+  if (PassThrough()) return inner_->Sync(clk);
+  return DecoratedSync(clk);
+}
+
+Status FaultyDevice::DecoratedSync(VirtualClock* clk) {
   // The fsync barrier covers every Write *issued* before it, including
   // asynchronous submissions that have not been waited yet.
   ExecuteThrough(~0ull);

@@ -120,6 +120,22 @@ class FaultyDevice : public StorageDevice {
   Status WriteImpl(uint64_t offset, size_t len, const uint8_t* data,
                    VirtualClock* clk, bool background);
 
+  /// True when this decorator is a plain pass-through: write-through, no
+  /// armed injector of its own, nothing queued, not powered off. The
+  /// synchronous ops then forward straight to the inner device, which does
+  /// its own range check.
+  bool PassThrough() const;
+
+  /// Read/Write/Sync when not PassThrough(). Kept out of line so the fast
+  /// path compiles to the check and a tail call, without the slow path's
+  /// register saves and stack frame.
+  [[gnu::noinline]] Status DecoratedRead(uint64_t offset, size_t len,
+                                         uint8_t* out, VirtualClock* clk);
+  [[gnu::noinline]] Status DecoratedWrite(uint64_t offset, size_t len,
+                                          const uint8_t* data,
+                                          VirtualClock* clk, bool background);
+  [[gnu::noinline]] Status DecoratedSync(VirtualClock* clk);
+
   /// Executes queued requests with id <= `through_id` in FIFO order (pass
   /// ~0ull to drain everything), recording each completion.
   void ExecuteThrough(uint64_t through_id);
@@ -129,11 +145,17 @@ class FaultyDevice : public StorageDevice {
   Status FlushPrefixLocked(size_t n, size_t tear_sectors, VirtualClock* clk)
       SIAS_REQUIRES(mu_);
 
+  // The fields PassThrough() reads share one cache line.
   StorageDevice* const inner_;
   FaultInjector* const injector_;
-  const Options options_;
-
   std::atomic<bool> crashed_{false};
+  /// Mirror of io_pending_.size(): lets the synchronous fast path (which
+  /// the <=1% disabled-injector overhead gate covers) skip io_pending_mu_
+  /// entirely when nothing was ever submitted asynchronously. A thread
+  /// observes its own submissions in program order; cross-thread races with
+  /// a concurrent Submit carry no ordering guarantee, as on real hardware.
+  std::atomic<size_t> io_queued_{0};
+  const Options options_;
 
   /// Rank kFaultyDevice: above the engine latches that issue I/O (pool,
   /// WAL, disk) and below the inner device's own latches.
@@ -146,12 +168,6 @@ class FaultyDevice : public StorageDevice {
   /// touches this queue — still-deferred requests are simply lost.
   mutable Mutex io_pending_mu_{LatchRank::kIoQueue};
   std::deque<PendingIo> io_pending_ SIAS_GUARDED_BY(io_pending_mu_);
-  /// Mirror of io_pending_.size(): lets the synchronous fast path (which
-  /// the <=1% disabled-injector overhead gate covers) skip io_pending_mu_
-  /// entirely when nothing was ever submitted asynchronously. A thread
-  /// observes its own submissions in program order; cross-thread races with
-  /// a concurrent Submit carry no ordering guarantee, as on real hardware.
-  std::atomic<size_t> io_queued_{0};
 
   obs::Counter* m_cached_writes_;
   obs::Counter* m_synced_writes_;

@@ -1,5 +1,6 @@
 #include "storage/page.h"
 
+#include <cstddef>
 #include <vector>
 
 #include "common/logging.h"
@@ -141,13 +142,18 @@ void SlottedPage::UpdateChecksum() {
 }
 
 bool SlottedPage::VerifyChecksum() const {
-  PageHeader copy = *header();
-  if (copy.checksum == 0) return true;  // never checksummed (fresh page)
-  // Recompute with the checksum field zeroed.
-  uint8_t tmp[kPageSize];
-  memcpy(tmp, data_, kPageSize);
-  reinterpret_cast<PageHeader*>(tmp)->checksum = 0;
-  return MaskCrc(Crc32c(tmp, kPageSize)) == copy.checksum;
+  uint32_t stored = header()->checksum;
+  if (stored == 0) return true;  // never checksummed (fresh page)
+  // Recompute as UpdateChecksum did, with the checksum field read as zero:
+  // chain the CRC over the bytes before the field, four zero bytes, and the
+  // rest of the page.
+  constexpr size_t kField = offsetof(PageHeader, checksum);
+  constexpr size_t kRest = kField + sizeof(PageHeader::checksum);
+  static constexpr uint8_t kZeros[sizeof(PageHeader::checksum)] = {};
+  uint32_t crc = Crc32c(data_, kField);
+  crc = Crc32c(kZeros, sizeof(kZeros), crc);
+  crc = Crc32c(data_ + kRest, kPageSize - kRest, crc);
+  return MaskCrc(crc) == stored;
 }
 
 }  // namespace sias

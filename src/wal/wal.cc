@@ -33,21 +33,21 @@ constexpr int kZeroRunStop = 2;
 }  // namespace
 
 void EncodeWalRecord(const WalRecord& record, std::string* out) {
-  uint32_t total =
-      static_cast<uint32_t>(kFrameHeader + kFixedFields + record.body.size());
-  std::string payload;
-  payload.reserve(kFixedFields + record.body.size());
-  payload.push_back(static_cast<char>(record.type));
-  PutFixed64(&payload, record.xid);
-  PutFixed32(&payload, record.relation);
-  PutFixed32(&payload, record.tid.page);
-  PutFixed16(&payload, record.tid.slot);
-  PutFixed64(&payload, record.aux);
-  payload += record.body;
-
-  PutFixed32(out, total);
-  PutFixed32(out, MaskCrc(Crc32c(payload.data(), payload.size())));
-  *out += payload;
+  const size_t total = kFrameHeader + kFixedFields + record.body.size();
+  const size_t start = out->size();
+  out->reserve(start + total);
+  PutFixed32(out, static_cast<uint32_t>(total));
+  PutFixed32(out, 0);  // CRC of the payload, filled in once it is encoded
+  out->push_back(static_cast<char>(record.type));
+  PutFixed64(out, record.xid);
+  PutFixed32(out, record.relation);
+  PutFixed32(out, record.tid.page);
+  PutFixed16(out, record.tid.slot);
+  PutFixed64(out, record.aux);
+  *out += record.body;
+  uint8_t* frame = reinterpret_cast<uint8_t*>(out->data() + start);
+  EncodeFixed32(frame + 4, MaskCrc(Crc32c(frame + kFrameHeader,
+                                          total - kFrameHeader)));
 }
 
 WalWriter::WalWriter(StorageDevice* device, uint64_t base_offset,

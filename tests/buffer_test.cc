@@ -2,6 +2,7 @@
 // write-back, sticky (append-region) frames and WAL-before-data hook.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -74,7 +75,7 @@ TEST_F(BufferPoolTest, DataSurvivesEviction) {
   EXPECT_GT(pool_.stats().evictions, 0u);
   EXPECT_GT(pool_.stats().flushes_by_source[static_cast<int>(
                 FlushSource::kEviction)],
-            0u);
+            3u);
 }
 
 TEST_F(BufferPoolTest, PinnedPagesAreNotEvicted) {
@@ -213,6 +214,81 @@ TEST_F(BufferPoolTest, ConcurrentFetchesAreSafe) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(ok_count.load(), 2000);
+}
+
+// Pins the clock sweep's exact victim order: clean frames first, dirty ones
+// only when no clean victim exists, pinned and sticky frames never, and a
+// referenced frame gets a second chance. A victim is identified by the frame
+// buffer the incoming page lands in, so the log lists, per miss, the page
+// that page displaced.
+TEST(BufferPoolVictimOrderTest, FixedScriptEvictsInClockOrder) {
+  MemDevice device(64ull << 20);
+  DiskManager disk(&device);
+  ASSERT_TRUE(disk.CreateRelation(1).ok());
+  BufferPool pool(&disk, 8);
+  VirtualClock clk;
+  std::map<const uint8_t*, PageNumber> owner;  // frame buffer -> page
+  std::vector<PageNumber> evicted;
+  auto note = [&](const PageGuard& g) {
+    auto [it, fresh] = owner.try_emplace(g.data(), g.id().page);
+    if (!fresh && it->second != g.id().page) {
+      evicted.push_back(it->second);
+      it->second = g.id().page;
+    }
+  };
+  auto add = [&](bool keep_dirty) {
+    auto g = pool.NewPage(1, &clk);
+    ASSERT_TRUE(g.ok());
+    note(*g);
+    if (!keep_dirty) {
+      PageId id = g->id();
+      g->Release();
+      ASSERT_TRUE(pool.FlushPage(id, &clk).ok());
+    }
+  };
+  auto fetch = [&](PageNumber page, bool dirty) {
+    auto g = pool.FetchPage(PageId{1, page}, &clk);
+    ASSERT_TRUE(g.ok());
+    note(*g);
+    if (dirty) g->MarkDirty();
+  };
+
+  for (int i = 0; i < 8; ++i) add(/*keep_dirty=*/true);  // pages 0..7
+  for (PageNumber p : {0u, 2u, 4u, 6u}) {
+    ASSERT_TRUE(pool.FlushPage(PageId{1, p}, &clk).ok());
+  }
+  ASSERT_TRUE(pool.SetSticky(PageId{1, 1}, true).ok());
+  auto pinned = pool.FetchPage(PageId{1, 3}, &clk);
+  ASSERT_TRUE(pinned.ok());
+  note(*pinned);
+
+  add(true);   // page 8
+  add(false);  // page 9
+  fetch(0, /*dirty=*/false);
+  fetch(2, /*dirty=*/true);
+  add(true);   // page 10
+  add(true);   // page 11
+  fetch(4, false);
+  add(true);   // page 12: clean frames exhausted, a dirty one is written
+  fetch(6, true);
+  fetch(9, false);
+  pinned->Release();
+  ASSERT_TRUE(pool.SetSticky(PageId{1, 1}, false).ok());
+  add(true);   // page 13
+  ASSERT_TRUE(pool.FlushAll(&clk).ok());
+  for (PageNumber p : {5u, 7u, 1u, 3u, 8u}) fetch(p, p == 7);
+  add(false);  // page 14
+  add(true);   // page 15
+  fetch(0, false);
+  fetch(12, true);
+
+  EXPECT_EQ(evicted, (std::vector<PageNumber>{0, 2, 4, 6, 9, 0, 5, 4, 2, 7,
+                                               9, 8, 1, 10, 11, 12, 6, 3,
+                                               13}));
+  EXPECT_EQ(pool.stats().evictions, evicted.size());
+  EXPECT_EQ(pool.stats().flushes_by_source[static_cast<int>(
+                FlushSource::kEviction)],
+            3u);
 }
 
 }  // namespace

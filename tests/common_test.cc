@@ -8,6 +8,7 @@
 
 #include "common/coding.h"
 #include "common/crc32c.h"
+#include "common/crc32c_internal.h"
 #include "common/histogram.h"
 #include "common/latch.h"
 #include "common/random.h"
@@ -141,6 +142,101 @@ TEST(Crc32cTest, DetectsBitFlip) {
   uint32_t base = Crc32c(data.data(), data.size());
   data[100] ^= 1;
   EXPECT_NE(base, Crc32c(data.data(), data.size()));
+}
+
+// Bit-at-a-time CRC32C straight from the polynomial: the reference both
+// implementations are checked against.
+uint32_t ReferenceCrc32c(const uint8_t* p, size_t n, uint32_t init) {
+  uint32_t crc = ~init;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) crc = (crc >> 1) ^ ((crc & 1) ? 0x82f63b78u : 0);
+  }
+  return ~crc;
+}
+
+// Every entry point: the dispatched one and both implementations.
+struct CrcPath {
+  const char* name;
+  uint32_t (*fn)(const void*, size_t, uint32_t);
+};
+std::vector<CrcPath> CrcPaths() {
+  std::vector<CrcPath> paths = {
+      {"dispatched", [](const void* d, size_t n, uint32_t i) {
+         return Crc32c(d, n, i);
+       }},
+      {"portable", crc32c_internal::Portable}};
+  if (crc32c_internal::HardwareAvailable()) {
+    paths.push_back({"hardware", crc32c_internal::Hardware});
+  }
+  return paths;
+}
+
+TEST(Crc32cTest, Rfc3720KnownAnswers) {
+  // RFC 3720 appendix B.4.
+  std::vector<uint8_t> zeros(32, 0x00), ones(32, 0xff), up(32), down(32);
+  for (int i = 0; i < 32; ++i) {
+    up[i] = static_cast<uint8_t>(i);
+    down[i] = static_cast<uint8_t>(31 - i);
+  }
+  for (const CrcPath& path : CrcPaths()) {
+    SCOPED_TRACE(path.name);
+    EXPECT_EQ(path.fn(zeros.data(), 32, 0), 0x8A9136AAu);
+    EXPECT_EQ(path.fn(ones.data(), 32, 0), 0x62A8AB43u);
+    EXPECT_EQ(path.fn(up.data(), 32, 0), 0x46DD794Eu);
+    EXPECT_EQ(path.fn(down.data(), 32, 0), 0x113FDB5Cu);
+  }
+}
+
+TEST(Crc32cTest, EveryLengthAndAlignmentMatchesReference) {
+  std::vector<uint8_t> buf(16 + 300);
+  Random rng(3720);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.Next());
+  for (const CrcPath& path : CrcPaths()) {
+    SCOPED_TRACE(path.name);
+    for (size_t offset = 0; offset < 16; ++offset) {
+      for (size_t len = 0; len <= 300; ++len) {
+        const uint8_t* p = buf.data() + offset;
+        ASSERT_EQ(path.fn(p, len, 0), ReferenceCrc32c(p, len, 0))
+            << "offset " << offset << " len " << len;
+      }
+    }
+  }
+}
+
+TEST(Crc32cTest, ChainingEqualsOneShot) {
+  std::vector<uint8_t> buf(1000);
+  Random rng(17);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.Next());
+  for (const CrcPath& path : CrcPaths()) {
+    SCOPED_TRACE(path.name);
+    uint32_t whole = path.fn(buf.data(), buf.size(), 0);
+    for (size_t split : {0, 1, 7, 8, 9, 333, 999, 1000}) {
+      uint32_t head = path.fn(buf.data(), split, 0);
+      EXPECT_EQ(path.fn(buf.data() + split, buf.size() - split, head), whole)
+          << "split " << split;
+    }
+  }
+}
+
+TEST(Crc32cTest, ImplementationsAgreeOnRandomBuffers) {
+  if (!crc32c_internal::HardwareAvailable()) {
+    GTEST_SKIP() << "CPU has no SSE4.2 crc32 instruction";
+  }
+  Random rng(2014);
+  std::vector<uint8_t> buf(9000);
+  for (int round = 0; round < 200; ++round) {
+    size_t len = rng.Uniform(0, buf.size() - 8);
+    size_t offset = rng.Uniform(0, 7);
+    uint32_t init = static_cast<uint32_t>(rng.Next());
+    for (size_t i = 0; i < len + offset; ++i) {
+      buf[i] = static_cast<uint8_t>(rng.Next());
+    }
+    const uint8_t* p = buf.data() + offset;
+    uint32_t want = ReferenceCrc32c(p, len, init);
+    ASSERT_EQ(crc32c_internal::Hardware(p, len, init), want) << "len " << len;
+    ASSERT_EQ(crc32c_internal::Portable(p, len, init), want) << "len " << len;
+  }
 }
 
 TEST(Crc32cTest, MaskRoundTrip) {

@@ -86,9 +86,30 @@ TEST_F(SlottedPageTest, CompactReclaimsSpaceKeepsSlots) {
 TEST_F(SlottedPageTest, ChecksumDetectsCorruption) {
   page_->InsertTuple(Slice("payload"));
   page_->UpdateChecksum();
+  ASSERT_TRUE(page_->VerifyChecksum());
+  // Byte 0 is the checksum field itself, byte 9 lies in the header
+  // (page_no), then the tuple's first byte and a byte of free space.
+  size_t tuple = static_cast<size_t>(page_->GetTuple(0).data() - buf_.data());
+  for (size_t byte : {size_t{0}, size_t{9}, tuple, size_t{5000}}) {
+    for (int bit = 0; bit < 8; ++bit) {
+      buf_[byte] ^= static_cast<uint8_t>(1 << bit);
+      EXPECT_FALSE(page_->VerifyChecksum()) << "byte " << byte << " bit " << bit;
+      buf_[byte] ^= static_cast<uint8_t>(1 << bit);
+    }
+  }
   EXPECT_TRUE(page_->VerifyChecksum());
-  buf_[5000] ^= 0x40;
-  EXPECT_FALSE(page_->VerifyChecksum());
+}
+
+// Page checksums are durable: a page sealed by any earlier build must keep
+// verifying, so the sealed value of a fixed page never changes.
+TEST_F(SlottedPageTest, SealedChecksumIsGolden) {
+  page_->Init(/*relation=*/7, /*page_no=*/3, kPageFlagAppendRegion);
+  page_->header()->lsn = 0x1234;
+  page_->InsertTuple(Slice("sias-v"));
+  page_->InsertTuple(Slice("append storage"));
+  page_->UpdateChecksum();
+  EXPECT_EQ(page_->header()->checksum, 0xFB9C7C6Eu);
+  EXPECT_TRUE(page_->VerifyChecksum());
 }
 
 TEST_F(SlottedPageTest, FreshPageVerifies) {

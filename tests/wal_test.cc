@@ -30,6 +30,39 @@ class WalTest : public ::testing::Test {
   VirtualClock clk_;
 };
 
+std::string Hex(const std::string& bytes) {
+  static const char* kDigits = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 15]);
+  }
+  return out;
+}
+
+// The on-log record format is durable: these bytes must never change, or
+// logs written by earlier builds stop replaying.
+TEST(WalCodecTest, EncodedBytesAreGolden) {
+  std::string out = "prefix";
+  EncodeWalRecord(MakeInsert(0x0102030405060708ull, 7, Tid{0x0a0b0c0d, 0x0e0f},
+                             "siasdb", 0x1122334455667788ull),
+                  &out);
+  EXPECT_EQ(Hex(out),
+            "707265666978"                      // untouched prefix
+            "29000000" "bc95134c"               // total length, masked CRC
+            "03" "0807060504030201" "07000000"  // type, xid, relation
+            "0d0c0b0a" "0f0e" "8877665544332211"  // page, slot, aux
+            "736961736462");                    // body
+  WalRecord commit;
+  commit.type = WalRecordType::kTxnCommit;
+  commit.xid = 42;
+  std::string c;
+  EncodeWalRecord(commit, &c);
+  EXPECT_EQ(Hex(c),
+            "23000000" "6535ba8f" "01" "2a00000000000000" "00000000"
+            "ffffffff" "0000" "0000000000000000");
+}
+
 TEST_F(WalTest, AppendFlushReadRoundTrip) {
   auto lsn1 = writer_.Append(MakeInsert(10, 1, Tid{5, 2}, "tuple-a", 42));
   auto lsn2 = writer_.Append(MakeInsert(11, 2, Tid{6, 3}, "tuple-bb", 43));
