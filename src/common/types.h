@@ -66,7 +66,12 @@ struct Tid {
   }
 
   std::string ToString() const {
-    return "(" + std::to_string(page) + "," + std::to_string(slot) + ")";
+    std::string s = "(";
+    s += std::to_string(page);
+    s += ',';
+    s += std::to_string(slot);
+    s += ')';
+    return s;
   }
 };
 

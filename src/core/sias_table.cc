@@ -291,6 +291,7 @@ Result<Vid> SiasTable::Insert(Transaction* txn, Slice row, Tid* tid_out) {
   // No older version: *ptr = NULL (Algorithm 2).
   std::string encoded;
   EncodeTuple(h, row, &encoded);
+  txn->MarkWrite();
   SIAS_ASSIGN_OR_RETURN(
       Tid tid, region_.Append(Slice(encoded), txn->xid(), vid, txn->clock()));
   if (scheme_ == VersionScheme::kSiasChains) {
@@ -353,6 +354,7 @@ Result<Tid> SiasTable::AppendAndInstall(Transaction* txn, Vid vid,
                                         Slice payload, Tid expected_entry) {
   std::string encoded;
   EncodeTuple(header, payload, &encoded);
+  txn->MarkWrite();
   SIAS_ASSIGN_OR_RETURN(
       Tid tid, region_.Append(Slice(encoded), txn->xid(), vid, txn->clock()));
   if (scheme_ == VersionScheme::kSiasChains) {
@@ -1095,8 +1097,10 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
               TupleHeader sh;
               if (!stuple.empty() && DecodeTupleHeader(stuple, &sh)) {
                 sh.set_pred(new_tid);
-                OverwriteTupleHeader(sh,
-                                     const_cast<uint8_t*>(stuple.data()));
+                // Only the pred word changes, and latch-free readers load
+                // it atomically (tuple.h): swing it with one atomic store.
+                OverwritePredWord(const_cast<uint8_t*>(stuple.data()),
+                                  sh.pred_page, sh.pred_slot, sh.flags);
                 Lsn lsn = kInvalidLsn;
                 if (env_.wal != nullptr) {
                   WalRecord rec;

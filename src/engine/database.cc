@@ -77,9 +77,15 @@ Result<std::unique_ptr<Database>> Database::Open(const DatabaseOptions& opts) {
   }
 
   // Commit hook: append the commit record and group-commit flush it —
-  // the transaction's durability point.
+  // the writer's durability point. A transaction that wrote nothing has no
+  // durability point and skips the log, as in PostgreSQL: everything its
+  // snapshot can see was made by writers whose clog status flipped to
+  // committed only after their own commit flush returned, so it is durable
+  // already. Its unlogged xid may be handed out again after a crash, which
+  // is safe: recovery restarts the allocator past every logged xid and the
+  // checkpoint's next xid, and no tuple carries the unlogged one.
   db->txns_.set_commit_hook([db = db.get()](Transaction* txn) {
-    if (db->wal_ == nullptr) return Status::OK();
+    if (db->wal_ == nullptr || !txn->wrote()) return Status::OK();
     TRACE_OP("wal", "group_commit");
     WalRecord rec;
     rec.type = WalRecordType::kTxnCommit;
@@ -94,7 +100,7 @@ Result<std::unique_ptr<Database>> Database::Open(const DatabaseOptions& opts) {
     return Status::OK();
   });
   db->txns_.set_abort_hook([db = db.get()](Transaction* txn) {
-    if (db->wal_ == nullptr) return Status::OK();
+    if (db->wal_ == nullptr || !txn->wrote()) return Status::OK();
     WalRecord rec;
     rec.type = WalRecordType::kTxnAbort;
     rec.xid = txn->xid();

@@ -111,8 +111,20 @@ Status CrashRunner::RunWorkload() {
       return ms;
     }
 
+    if (cfg_.read_only_every > 0 && i % cfg_.read_only_every == 0) {
+      auto reader = db_->Begin(&clk_);
+      auto hits = table_->IndexLookup(reader.get(), 0,
+                                      Slice(IntKey(i % cfg_.keys)));
+      Status rs = hits.ok() ? db_->Commit(reader.get()) : hits.status();
+      if (!rs.ok()) {
+        if (injector_.power_cut()) break;
+        return rs;
+      }
+    }
+
     int64_t key = static_cast<int64_t>(rng.Uniform(0, cfg_.keys - 1));
-    std::string val = "v" + std::to_string(i);
+    std::string val = "v";
+    val += std::to_string(i);
     auto txn = db_->Begin(&clk_);
     std::vector<std::pair<int64_t, std::string>> writes;
     Status s = WriteKey(table_, &vids_, txn.get(), key, val);

@@ -15,7 +15,7 @@
 //   3. index and heap agree (every scan row is index-reachable and vice
 //      versa);
 //   4. under SIAS, every visible item's version chain/vector resolves;
-//   5. the xid allocator is past every pre-crash xid.
+//   5. the xid allocator is past every xid whose writer committed pre-crash.
 //
 // Everything derives from CrashConfig::seed, so a failing scenario replays
 // bit-exactly (docs/FAULTS.md).
@@ -54,6 +54,10 @@ struct CrashConfig {
 
   int txns = 90;  ///< workload length (bounded; maintenance at fixed indices)
   int keys = 16;  ///< key-space size
+  /// When > 0, every this many iterations a read-only transaction (one
+  /// index lookup) commits before the writer. Its xid reaches no log
+  /// record, so recovery may hand it out again.
+  int read_only_every = 0;
 
   /// Secondary-index implementation for "kv_pk". With kMvPbt the Vacuum
   /// pass flushes the index buffer through the mvpbt.flush.* crash points,

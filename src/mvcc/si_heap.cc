@@ -121,6 +121,7 @@ Result<Vid> SiHeap::Insert(Transaction* txn, Slice row, Tid* tid_out) {
   h.vid = vid;
   std::string encoded;
   EncodeTuple(h, row, &encoded);
+  txn->MarkWrite();
   SIAS_ASSIGN_OR_RETURN(Tid tid, PlaceTuple(Slice(encoded), txn, nullptr));
   {
     MutexLock g(&map_mu_);
@@ -274,6 +275,7 @@ Status SiHeap::StampXmax(Transaction* txn, Tid tid, Xid xmax) {
   h.xmax = xmax;
   std::string updated;
   EncodeTuple(h, TuplePayload(tuple), &updated);
+  txn->MarkWrite();
   Lsn lsn = kInvalidLsn;
   if (env_.wal != nullptr) {
     WalRecord rec;

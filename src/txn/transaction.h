@@ -43,6 +43,14 @@ class Transaction {
     return locks_;
   }
 
+  /// Records that a version was created or invalidated under this xid. The
+  /// heap marks it right before it appends or stamps anything, so a write
+  /// attempt that failed earlier (e.g. a NotFound from validation) leaves
+  /// the transaction read-only. A read-only transaction commits and aborts
+  /// without a WAL record (see the hooks in Database::Open).
+  void MarkWrite() { wrote_ = true; }
+  bool wrote() const { return wrote_; }
+
  private:
   friend class TransactionManager;
 
@@ -50,6 +58,7 @@ class Transaction {
   Snapshot snapshot_;
   VirtualClock* clock_;
   TxnState state_ = TxnState::kActive;
+  bool wrote_ = false;
   std::vector<std::function<void()>> undo_;
   std::vector<std::pair<RelationId, Vid>> locks_;
 };

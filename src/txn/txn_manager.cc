@@ -11,6 +11,7 @@ TransactionManager::TransactionManager(Clog* clog, LockManager* locks)
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   m_begins_ = reg.GetCounter("txn.begin");
   m_commits_ = reg.GetCounter("txn.commit");
+  m_read_only_commits_ = reg.GetCounter("txn.commit.read_only");
   m_aborts_ = reg.GetCounter("txn.abort");
   m_commit_latency_ = reg.GetHistogram("txn.commit_latency");
   m_active_ = reg.GetGauge("txn.active");
@@ -76,6 +77,7 @@ Status TransactionManager::Commit(Transaction* txn) {
   txn->state_ = TxnState::kCommitted;
   Finish(txn);
   m_commits_->Increment();
+  if (!txn->wrote()) m_read_only_commits_->Increment();
   if (txn->clock() != nullptr) {
     m_commit_latency_->Record(txn->clock()->now() - start);
   }

@@ -23,7 +23,7 @@ namespace sias {
 class TransactionManager {
  public:
   /// Hook invoked during Commit *before* the clog flips to committed —
-  /// the Database uses it to append + flush the WAL commit record
+  /// the Database uses it to append + flush a writer's WAL commit record
   /// (durability point), charging the committing terminal's clock.
   using CommitHook = std::function<Status(Transaction*)>;
   /// Hook invoked during Abort before status flips (WAL abort record;
@@ -85,6 +85,7 @@ class TransactionManager {
   // Observability (see docs/OBSERVABILITY.md for the catalogue).
   obs::Counter* m_begins_;
   obs::Counter* m_commits_;
+  obs::Counter* m_read_only_commits_;
   obs::Counter* m_aborts_;
   obs::HistogramMetric* m_commit_latency_;
   obs::Gauge* m_active_;

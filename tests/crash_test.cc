@@ -12,6 +12,7 @@
 //    and the db.recovery.* gauges.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <set>
 #include <string>
@@ -25,8 +26,10 @@
 #include "fault/faulty_device.h"
 #include "common/vclock.h"
 #include "fault/retry.h"
+#include "index/key_codec.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
+#include "wal/wal.h"
 
 namespace sias {
 namespace fault {
@@ -215,6 +218,87 @@ TEST(CrashSabotage, SkippedRedoRecordIsCaught) {
         << "a recovery that lost a redo record passed the invariant suite";
   }
   // (A loud Recover() failure would be an equally valid catch.)
+}
+
+// ---------------------------------------------------------------------------
+// Read-only commits write no log record, so recovery restarts the xid
+// allocator past every *logged* xid and may hand an unlogged read-only xid
+// out again. Every xid below the restart point is decided by recovery
+// (committed by its record or aborted), and none at or above it is, so a
+// reused xid starts in-progress: its writer's work must be durable,
+// visible and kept by Vacuum like any other.
+// ---------------------------------------------------------------------------
+
+/// Highest xid carried by any record in the database's log.
+Xid MaxLoggedXid(Database* db) {
+  WalReader reader(db->options().wal_device, 0, db->options().wal_limit_bytes);
+  Xid max_xid = kInvalidXid;
+  for (;;) {
+    auto rec = reader.Next();
+    EXPECT_TRUE(rec.ok()) << rec.status().ToString();
+    if (!rec.ok() || !rec->has_value()) return max_xid;
+    max_xid = std::max(max_xid, (*rec)->xid);
+  }
+}
+
+TEST(CrashXidReuse, ReadOnlyXidsReusedOnlyAboveEveryLoggedXid) {
+  int reused = 0;
+  for (VersionScheme scheme :
+       {VersionScheme::kSi, VersionScheme::kSiasChains, VersionScheme::kSiasV}) {
+    for (const char* point :
+         {"txn.commit.pre_flush", "txn.commit.post_flush"}) {
+      // Before and after the workload's first checkpoint (iteration 30).
+      for (uint64_t nth : {5, 40}) {
+        SCOPED_TRACE(SchemeTag(scheme) + " " + point + " nth " +
+                     std::to_string(nth));
+        CrashConfig cfg;
+        cfg.scheme = scheme;
+        cfg.seed = 0x5EED;
+        cfg.crash_point = point;
+        cfg.nth = nth;
+        cfg.read_only_every = 1;
+        CrashRunner runner(cfg);
+        ASSERT_TRUE(runner.RunWorkload().ok());
+        ASSERT_TRUE(runner.report().crashed);
+        const Xid next_before_crash = runner.db()->txns()->NextXid();
+        ASSERT_TRUE(runner.ReopenAndRecover().ok());
+        Database* db = runner.db();
+        VirtualClock* clk = runner.clock();
+        const Xid max_logged = MaxLoggedXid(db);
+
+        const int64_t key = 5000000;
+        const std::string val = "fresh";
+        auto writer = db->Begin(clk);
+        EXPECT_GT(writer->xid(), max_logged);
+        // No stale (aborted) status from before the crash.
+        EXPECT_EQ(db->txns()->clog()->Get(writer->xid()),
+                  TxnStatus::kInProgress);
+        if (writer->xid() < next_before_crash) reused++;
+        auto vid = runner.table()->Insert(writer.get(), Row{{key, val}});
+        ASSERT_TRUE(vid.ok()) << vid.status().ToString();
+        ASSERT_TRUE(db->Commit(writer.get()).ok());
+        ASSERT_TRUE(db->Vacuum(clk).ok());
+        {
+          auto reader = db->Begin(clk);
+          auto hits =
+              runner.table()->IndexLookup(reader.get(), 0, Slice(IntKey(key)));
+          ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+          ASSERT_EQ(hits->size(), 1u) << "fresh insert lost to Vacuum";
+          EXPECT_EQ((*hits)[0].second.GetString(1), val);
+          ASSERT_TRUE(db->Commit(reader.get()).ok());
+        }
+        {  // Take the row out again so the invariant suite sees only its own.
+          auto deleter = db->Begin(clk);
+          ASSERT_TRUE(runner.table()->Delete(deleter.get(), *vid).ok());
+          ASSERT_TRUE(db->Commit(deleter.get()).ok());
+        }
+        // Invariant 1: every acknowledged writer is visible.
+        Status s = runner.CheckInvariants();
+        EXPECT_TRUE(s.ok()) << s.ToString();
+      }
+    }
+  }
+  EXPECT_GT(reused, 0) << "no cut made recovery hand out an xid again";
 }
 
 // ---------------------------------------------------------------------------

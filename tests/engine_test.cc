@@ -7,6 +7,8 @@
 #include "device/mem_device.h"
 #include "engine/database.h"
 #include "index/key_codec.h"
+#include "obs/metrics.h"
+#include "wal/wal.h"
 
 namespace sias {
 namespace {
@@ -52,6 +54,15 @@ TEST(SchemaTest, EmptyStringAndNegatives) {
   auto decoded = Row::Decode(schema, Slice(bytes));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(*decoded, row);
+}
+
+std::string SchemeTestName(
+    const ::testing::TestParamInfo<VersionScheme>& info) {
+  std::string n = ToString(info.param);
+  for (auto& c : n) {
+    if (c == '-') c = '_';
+  }
+  return n;
 }
 
 class EngineTest : public ::testing::TestWithParam<VersionScheme> {
@@ -187,7 +198,9 @@ TEST_P(EngineTest, OldSnapshotStillFindsOldKeyThroughIndex) {
 
 TEST_P(EngineTest, IndexRangeScansInOrder) {
   for (int64_t i = 10; i > 0; --i) {
-    InsertAccount(i, "o" + std::to_string(i), 1.0 * static_cast<double>(i));
+    std::string owner = "o";
+    owner += std::to_string(i);
+    InsertAccount(i, owner, 1.0 * static_cast<double>(i));
   }
   auto txn = db_->Begin(&clk_);
   std::vector<int64_t> ids;
@@ -350,13 +363,179 @@ INSTANTIATE_TEST_SUITE_P(AllSchemes, EngineTest,
                          ::testing::Values(VersionScheme::kSi,
                                            VersionScheme::kSiasChains,
                                            VersionScheme::kSiasV),
-                         [](const auto& info) {
-                           std::string n = ToString(info.param);
-                           for (auto& c : n) {
-                             if (c == '-') c = '_';
-                           }
-                           return n;
-                         });
+                         SchemeTestName);
+
+// --- Read-only transactions commit and abort without the log ------------
+
+int64_t CounterValue(const char* name) {
+  return obs::MetricsRegistry::Default().GetCounter(name)->Value();
+}
+
+/// Everything the log and the clock would show of one commit or abort.
+struct LogMark {
+  Lsn current;
+  Lsn flushed;
+  int64_t flushes;
+  VTime now;
+};
+
+class ReadOnlyCommitTest : public EngineTest {
+ protected:
+  // A WAL device whose writes take virtual time, so a commit's durability
+  // wait shows on the terminal's clock.
+  static constexpr VDuration kWalWriteLatency = 60 * kVMicrosecond;
+
+  void SetUp() override {
+    data_ = std::make_unique<MemDevice>(1ull << 30);
+    wal_ = std::make_unique<MemDevice>(1ull << 30, 0, kWalWriteLatency);
+    Reopen();
+  }
+
+  LogMark Mark() {
+    return LogMark{db_->wal()->current_lsn(), db_->wal()->flushed_lsn(),
+                   CounterValue("wal.flushes"), clk_.now()};
+  }
+
+  void ExpectLogUntouched(const LogMark& before) {
+    LogMark after = Mark();
+    EXPECT_EQ(after.current, before.current) << "a record was appended";
+    EXPECT_EQ(after.flushed, before.flushed);
+    EXPECT_EQ(after.flushes, before.flushes) << "the WAL was flushed";
+    EXPECT_EQ(after.now, before.now) << "the clock waited for durability";
+  }
+
+  /// Counts the log records of `type` carrying `xid`.
+  int RecordsOf(WalRecordType type, Xid xid) {
+    WalReader reader(wal_.get(), 0, db_->options().wal_limit_bytes);
+    int n = 0;
+    for (;;) {
+      auto rec = reader.Next();
+      EXPECT_TRUE(rec.ok()) << rec.status().ToString();
+      if (!rec.ok() || !rec->has_value()) return n;
+      if ((*rec)->type == type && (*rec)->xid == xid) n++;
+    }
+  }
+
+  /// Commits `txn`, which wrote, and checks it logged and flushed a commit.
+  void CommitWriter(Transaction* txn) {
+    LogMark before = Mark();
+    int64_t read_only = CounterValue("txn.commit.read_only");
+    ASSERT_TRUE(db_->Commit(txn).ok());
+    EXPECT_EQ(RecordsOf(WalRecordType::kTxnCommit, txn->xid()), 1);
+    EXPECT_GT(db_->wal()->current_lsn(), before.current);
+    EXPECT_EQ(db_->wal()->flushed_lsn(), db_->wal()->current_lsn());
+    EXPECT_GT(CounterValue("wal.flushes"), before.flushes);
+    EXPECT_GE(clk_.now(), before.now + kWalWriteLatency);
+    EXPECT_EQ(CounterValue("txn.commit.read_only"), read_only);
+  }
+
+  std::string Encoded(int64_t id, const std::string& owner, double balance) {
+    std::string bytes;
+    EXPECT_TRUE(Account(id, owner, balance).Encode(AccountSchema(), &bytes)
+                    .ok());
+    return bytes;
+  }
+};
+
+TEST_P(ReadOnlyCommitTest, ReadOnlyCommitSkipsTheLog) {
+  Vid vid = InsertAccount(1, "alice", 10.0);
+  auto reader = db_->Begin(&clk_);
+  auto row = accounts_->Get(reader.get(), vid);
+  ASSERT_TRUE(row.ok());
+  ASSERT_TRUE(row->has_value());
+  LogMark before = Mark();
+  ASSERT_TRUE(db_->Commit(reader.get()).ok());
+  ExpectLogUntouched(before);
+  EXPECT_EQ(RecordsOf(WalRecordType::kTxnCommit, reader->xid()), 0);
+
+  auto writer = db_->Begin(&clk_);
+  ASSERT_TRUE(
+      accounts_->Update(writer.get(), vid, Account(1, "alice", 11.0)).ok());
+  CommitWriter(writer.get());
+}
+
+TEST_P(ReadOnlyCommitTest, HeapWriteWithoutTableLogsCommit) {
+  MvccTable* heap = accounts_->heap();
+  auto inserter = db_->Begin(&clk_);
+  auto vid = heap->Insert(inserter.get(), Slice(Encoded(1, "raw", 1.0)));
+  ASSERT_TRUE(vid.ok());
+  CommitWriter(inserter.get());
+
+  auto updater = db_->Begin(&clk_);
+  ASSERT_TRUE(
+      heap->Update(updater.get(), *vid, Slice(Encoded(1, "raw", 2.0))).ok());
+  CommitWriter(updater.get());
+
+  auto deleter = db_->Begin(&clk_);
+  ASSERT_TRUE(heap->Delete(deleter.get(), *vid).ok());
+  CommitWriter(deleter.get());
+}
+
+TEST_P(ReadOnlyCommitTest, FailedWriteLeavesTransactionReadOnly) {
+  Vid vid = InsertAccount(1, "alice", 10.0);
+  {
+    auto txn = db_->Begin(&clk_);
+    ASSERT_TRUE(accounts_->Delete(txn.get(), vid).ok());
+    ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  }
+  auto txn = db_->Begin(&clk_);
+  LogMark before_write = Mark();
+  Status s = accounts_->heap()->Update(txn.get(), vid,
+                                       Slice(Encoded(1, "ghost", 0.0)));
+  ASSERT_TRUE(s.IsNotFound()) << s.ToString();
+  EXPECT_FALSE(txn->wrote());
+  EXPECT_EQ(db_->wal()->current_lsn(), before_write.current);
+  LogMark before = Mark();
+  ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  ExpectLogUntouched(before);
+  EXPECT_EQ(RecordsOf(WalRecordType::kTxnCommit, txn->xid()), 0);
+}
+
+TEST_P(ReadOnlyCommitTest, ReadOnlyAbortAppendsNothing) {
+  Vid vid = InsertAccount(1, "alice", 10.0);
+  auto reader = db_->Begin(&clk_);
+  ASSERT_TRUE(accounts_->Get(reader.get(), vid).ok());
+  LogMark before = Mark();
+  ASSERT_TRUE(db_->Abort(reader.get()).ok());
+  ExpectLogUntouched(before);
+
+  // A writer's abort still appends its (unflushed) abort record.
+  auto writer = db_->Begin(&clk_);
+  ASSERT_TRUE(
+      accounts_->Update(writer.get(), vid, Account(1, "alice", 0.0)).ok());
+  ASSERT_TRUE(db_->Abort(writer.get()).ok());
+  ASSERT_TRUE(db_->wal()->FlushTo(db_->wal()->current_lsn(), &clk_).ok());
+  EXPECT_EQ(RecordsOf(WalRecordType::kTxnAbort, writer->xid()), 1);
+  EXPECT_EQ(RecordsOf(WalRecordType::kTxnAbort, reader->xid()), 0);
+}
+
+TEST_P(ReadOnlyCommitTest, CounterCountsExactlyTheReadOnlyCommits) {
+  Vid vid = InsertAccount(1, "alice", 10.0);
+  int64_t read_only = CounterValue("txn.commit.read_only");
+  int64_t commits = CounterValue("txn.commit");
+  for (int i = 0; i < 9; ++i) {
+    auto txn = db_->Begin(&clk_);
+    if (i % 3 == 0) {
+      ASSERT_TRUE(
+          accounts_->Update(txn.get(), vid, Account(1, "alice", i)).ok());
+    } else {
+      ASSERT_TRUE(accounts_->Get(txn.get(), vid).ok());
+    }
+    ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  }
+  {  // Aborts count in neither.
+    auto txn = db_->Begin(&clk_);
+    ASSERT_TRUE(db_->Abort(txn.get()).ok());
+  }
+  EXPECT_EQ(CounterValue("txn.commit.read_only") - read_only, 6);
+  EXPECT_EQ(CounterValue("txn.commit") - commits, 9);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSchemes, ReadOnlyCommitTest,
+                         ::testing::Values(VersionScheme::kSi,
+                                           VersionScheme::kSiasChains,
+                                           VersionScheme::kSiasV),
+                         SchemeTestName);
 
 }  // namespace
 }  // namespace sias

@@ -13,6 +13,14 @@
 namespace sias {
 namespace {
 
+// "<prefix><n>". Appending to a named string avoids `"literal" +
+// std::string&&`, which GCC 12 flags with a false -Wrestrict when
+// optimizing.
+std::string Numbered(std::string prefix, int64_t n) {
+  prefix += std::to_string(n);
+  return prefix;
+}
+
 class MvccSchemeTest : public ::testing::TestWithParam<VersionScheme> {
  protected:
   void SetUp() override {
@@ -106,14 +114,12 @@ TEST_P(MvccSchemeTest, LongVersionHistoryEachSnapshotSeesItsVersion) {
   for (int i = 1; i <= 5; ++i) {
     readers.push_back(Begin());  // snapshot before update i
     auto t = Begin();
-    ASSERT_TRUE(
-        table_->Update(t.get(), vid, Slice("v" + std::to_string(i))).ok());
+    ASSERT_TRUE(table_->Update(t.get(), vid, Slice(Numbered("v", i))).ok());
     ASSERT_TRUE(Commit(t.get()).ok());
   }
   // Reader i (0-based) was started when version v{i} was newest.
   for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(ReadIn(readers[i].get(), vid).value_or(""),
-              "v" + std::to_string(i));
+    EXPECT_EQ(ReadIn(readers[i].get(), vid).value_or(""), Numbered("v", i));
   }
   for (auto& r : readers) ASSERT_TRUE(Commit(r.get()).ok());
 }
@@ -259,7 +265,7 @@ TEST_P(MvccSchemeTest, ReadMultiMatchesSequentialReadOracle) {
   constexpr int kItems = 64;
   std::vector<Vid> vids;
   for (int i = 0; i < kItems; ++i) {
-    vids.push_back(InsertCommitted("base" + std::to_string(i)));
+    vids.push_back(InsertCommitted(Numbered("base", i)));
   }
   auto old_snap = Begin();
   for (int i = 0; i < kItems; ++i) {
@@ -267,9 +273,8 @@ TEST_P(MvccSchemeTest, ReadMultiMatchesSequentialReadOracle) {
     if (i % 5 == 0) {
       ASSERT_TRUE(table_->Delete(t.get(), vids[i]).ok());
     } else if (i % 2 == 0) {
-      ASSERT_TRUE(table_->Update(t.get(), vids[i],
-                                 Slice("new" + std::to_string(i)))
-                      .ok());
+      ASSERT_TRUE(
+          table_->Update(t.get(), vids[i], Slice(Numbered("new", i))).ok());
     }
     ASSERT_TRUE(Commit(t.get()).ok());
   }
@@ -332,7 +337,7 @@ TEST_P(MvccSchemeTest, ScanSeesExactlyVisibleItems) {
 }
 
 TEST_P(MvccSchemeTest, ScanEarlyStop) {
-  for (int i = 0; i < 10; ++i) InsertCommitted("row" + std::to_string(i));
+  for (int i = 0; i < 10; ++i) InsertCommitted(Numbered("row", i));
   auto t = Begin();
   int count = 0;
   ASSERT_TRUE(table_->Scan(t.get(), [&](Vid, Slice) {
@@ -346,25 +351,24 @@ TEST_P(MvccSchemeTest, ManyItemsStressWithInterleavedSnapshots) {
   constexpr int kItems = 200;
   std::vector<Vid> vids;
   for (int i = 0; i < kItems; ++i) {
-    vids.push_back(InsertCommitted("i" + std::to_string(i)));
+    vids.push_back(InsertCommitted(Numbered("i", i)));
   }
   auto snap_before = Begin();
   for (int i = 0; i < kItems; i += 2) {
     auto t = Begin();
     ASSERT_TRUE(
-        table_->Update(t.get(), vids[i], Slice("u" + std::to_string(i))).ok());
+        table_->Update(t.get(), vids[i], Slice(Numbered("u", i))).ok());
     ASSERT_TRUE(Commit(t.get()).ok());
   }
   // Old snapshot: all originals. New snapshot: evens updated.
   for (int i = 0; i < kItems; i += 37) {
     EXPECT_EQ(ReadIn(snap_before.get(), vids[i]).value_or(""),
-              "i" + std::to_string(i));
+              Numbered("i", i));
   }
   ASSERT_TRUE(Commit(snap_before.get()).ok());
   auto snap_after = Begin();
   for (int i = 0; i < kItems; i += 37) {
-    std::string expect = (i % 2 == 0) ? "u" + std::to_string(i)
-                                      : "i" + std::to_string(i);
+    std::string expect = Numbered(i % 2 == 0 ? "u" : "i", i);
     EXPECT_EQ(ReadIn(snap_after.get(), vids[i]).value_or(""), expect);
   }
   ASSERT_TRUE(Commit(snap_after.get()).ok());
@@ -381,8 +385,7 @@ TEST_P(MvccSchemeTest, GarbageCollectionPreservesVisibleState) {
       auto t = Begin();
       ASSERT_TRUE(table_
                       ->Update(t.get(), vids[i],
-                               Slice("r" + std::to_string(round) + "-" +
-                                     std::to_string(i)))
+                               Slice(Numbered(Numbered("r", round) + "-", i)))
                       .ok());
       ASSERT_TRUE(Commit(t.get()).ok());
     }
@@ -395,7 +398,7 @@ TEST_P(MvccSchemeTest, GarbageCollectionPreservesVisibleState) {
   auto t = Begin();
   for (int i = 0; i < kItems; ++i) {
     EXPECT_EQ(ReadIn(t.get(), vids[i]).value_or(""),
-              "r5-" + std::to_string(i))
+              Numbered("r5-", i))
         << "item " << i;
   }
   ASSERT_TRUE(Commit(t.get()).ok());
@@ -449,8 +452,8 @@ TEST_P(MvccSchemeTest, ConcurrentDisjointWritersAllSucceed) {
       VirtualClock clk;
       for (int i = 0; i < kPerThread; ++i) {
         auto txn = env_->txns_.Begin(&clk);
-        Status s = table_->Update(txn.get(), vids[t][i],
-                                  Slice("t" + std::to_string(t)));
+        Status s =
+            table_->Update(txn.get(), vids[t][i], Slice(Numbered("t", t)));
         if (s.ok()) {
           if (!env_->txns_.Commit(txn.get()).ok()) failures++;
         } else {
@@ -466,7 +469,7 @@ TEST_P(MvccSchemeTest, ConcurrentDisjointWritersAllSucceed) {
   for (int th = 0; th < kThreads; ++th) {
     for (int i = 0; i < kPerThread; i += 7) {
       EXPECT_EQ(ReadIn(t.get(), vids[th][i]).value_or(""),
-                "t" + std::to_string(th));
+                Numbered("t", th));
     }
   }
   ASSERT_TRUE(Commit(t.get()).ok());
@@ -567,8 +570,7 @@ TEST_F(PhysicalBehaviourTest, SiasChainsHaveCorrectStructure) {
   ASSERT_TRUE(env.txns_.Commit(t0.get()).ok());
   for (int i = 1; i <= 4; ++i) {
     auto t = env.txns_.Begin(&clk_);
-    ASSERT_TRUE(
-        table->Update(t.get(), *vid, Slice("v" + std::to_string(i))).ok());
+    ASSERT_TRUE(table->Update(t.get(), *vid, Slice(Numbered("v", i))).ok());
     ASSERT_TRUE(env.txns_.Commit(t.get()).ok());
   }
   auto chain = table->ChainOf(*vid, &clk_);
@@ -601,8 +603,7 @@ TEST_F(PhysicalBehaviourTest, SiasVVectorTracksVersionsNewestFirst) {
   ASSERT_TRUE(env.txns_.Commit(t0.get()).ok());
   for (int i = 1; i <= 3; ++i) {
     auto t = env.txns_.Begin(&clk_);
-    ASSERT_TRUE(
-        table->Update(t.get(), *vid, Slice("v" + std::to_string(i))).ok());
+    ASSERT_TRUE(table->Update(t.get(), *vid, Slice(Numbered("v", i))).ok());
     ASSERT_TRUE(env.txns_.Commit(t.get()).ok());
   }
   std::vector<Tid> vec = table->vid_map_v().Get(*vid);
