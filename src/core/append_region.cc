@@ -44,6 +44,8 @@ Status AppendRegion::OpenNewPageLocked(VirtualClock* clk) {
     open_page_ = guard.id().page;
   }
   stats_.pages_opened++;
+  if (opened_at_.size() <= open_page_) opened_at_.resize(open_page_ + 1, 0);
+  opened_at_[open_page_] = stats_.pages_opened;
   SIAS_RETURN_NOT_OK(pool_->SetSticky(PageId{relation_, open_page_}, true));
   // The fresh open page exists only in memory until a flush policy persists
   // it; a cut here loses the page but not the WAL records that fill it.
@@ -100,18 +102,19 @@ void AppendRegion::AddFreePage(PageNumber page) {
   free_pages_.push_back(page);
 }
 
-PageId AppendRegion::open_page() const {
-  MutexLock g(&mu_);
-  return PageId{relation_, open_page_};
-}
-
-void AppendRegion::SealOpenPage() {
+uint64_t AppendRegion::SealOpenPage() {
   MutexLock g(&mu_);
   if (open_page_ != kInvalidPageNumber) {
     (void)pool_->SetSticky(PageId{relation_, open_page_}, false);
     stats_.pages_sealed++;
     open_page_ = kInvalidPageNumber;
   }
+  return stats_.pages_opened;
+}
+
+bool AppendRegion::OpenedSince(PageNumber page, uint64_t mark) const {
+  MutexLock g(&mu_);
+  return page < opened_at_.size() && opened_at_[page] > mark;
 }
 
 AppendRegionStats AppendRegion::stats() const {

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <deque>
+#include <vector>
 
 #include "buffer/buffer_pool.h"
 #include "common/latch.h"
@@ -40,11 +41,14 @@ class AppendRegion {
   /// Hands a GC-reclaimed page back for reuse.
   void AddFreePage(PageNumber page);
 
-  /// Currently open (filling) page, if any.
-  PageId open_page() const;
+  /// Seals the open page (used before clean shutdown and at the start of
+  /// every GC pass). Returns a mark for OpenedSince: every page opened
+  /// after the seal compares newer than it.
+  uint64_t SealOpenPage();
 
-  /// Seals the open page (used before clean shutdown).
-  void SealOpenPage();
+  /// True if `page` was opened (fresh or recycled) after `mark` was taken,
+  /// i.e. it may be receiving appends that a GC pass must not touch.
+  bool OpenedSince(PageNumber page, uint64_t mark) const;
 
   AppendRegionStats stats() const;
 
@@ -60,6 +64,8 @@ class AppendRegion {
   mutable Mutex mu_{LatchRank::kAppendRegion};
   PageNumber open_page_ SIAS_GUARDED_BY(mu_) = kInvalidPageNumber;
   std::deque<PageNumber> free_pages_ SIAS_GUARDED_BY(mu_);
+  /// Per page: value of stats_.pages_opened right after its latest open.
+  std::vector<uint64_t> opened_at_ SIAS_GUARDED_BY(mu_);
   AppendRegionStats stats_ SIAS_GUARDED_BY(mu_);
 };
 

@@ -1,9 +1,10 @@
 #include "core/sias_table.h"
 
 #include <algorithm>
-#include <deque>
+#include <limits>
 #include <unordered_set>
 
+#include "buffer/fetch_tasks.h"
 #include "common/logging.h"
 #include "mvcc/epoch.h"
 #include "mvcc/visibility.h"
@@ -20,7 +21,8 @@ namespace {
 struct MvccCounters {
   obs::Counter* reads;
   obs::Counter* read_misses;
-  /// Latched fallbacks taken by the snapshot read path (cold page, probe
+  /// Snapshot-read version fetches that missed the latch-free probe and
+  /// fell back to the pool's mutex-guarded fetch (cold page, probe
   /// overflow, lost optimistic race). 0 on a warm read-only workload.
   obs::Counter* read_latch_acquisitions;
   obs::Counter* versions_appended;
@@ -111,175 +113,240 @@ Status SiasTable::FetchVersion(Tid tid, VirtualClock* clk,
   return Status::OK();
 }
 
-bool SiasTable::FetchVersionLatchFree(Tid tid, TupleHeader* header,
-                                      std::string* payload, Status* status) {
-  PageGuard guard;
-  if (!env_.pool->TryFetchCached(PageId{relation_, tid.page}, &guard)) {
-    return false;
+bool SiasTable::ProbeCached(Tid tid, PageGuard* out) {
+  if (env_.pool->TryFetchCached(PageId{relation_, tid.page}, out)) {
+    return true;
   }
+  Obs().read_latch_acquisitions->Increment();
+  return false;
+}
+
+Status SiasTable::FetchVersionReadPath(Tid tid, VirtualClock* clk,
+                                       TupleHeader* header) {
+  PageGuard guard;
+  if (!ProbeCached(tid, &guard)) return FetchVersion(tid, clk, header, nullptr);
   // Pinned but unlatched: every read below must go through an atomic
   // accessor or target bytes that are immutable while this page is
   // reachable. Slot publication is an atomic slot-count release store,
   // slot kills are one atomic word, and chain GC rewrites the header's
-  // pred word atomically (tuple.h); payload bytes never change between
-  // publication and the (epoch-deferred) wipe.
+  // pred word atomically (tuple.h).
   Slice tuple = SlottedPage(guard.data()).GetTupleAtomic(tid.slot);
   if (tuple.empty() || !DecodeTupleHeaderAtomic(tuple, header)) {
-    *status = Status::NotFound("version slot dead");
-    return true;
+    return Status::NotFound("version slot dead");
   }
-  if (payload != nullptr) {
-    Slice p = TuplePayload(tuple);
-    payload->assign(reinterpret_cast<const char*>(p.data()), p.size());
-  }
-  *status = Status::OK();
-  return true;
+  return Status::OK();
 }
 
-Status SiasTable::FetchVersionReadPath(Tid tid, VirtualClock* clk,
-                                       TupleHeader* header,
-                                       std::string* payload) {
-  Status s;
-  if (FetchVersionLatchFree(tid, header, payload, &s)) {
-    if (s.ok() && payload != nullptr && clk != nullptr) {
-      clk->Cpu(kCpuTupleCopy);
-    }
-    return s;
-  }
-  Obs().read_latch_acquisitions->Increment();
-  return FetchVersion(tid, clk, header, payload);
-}
+/// One resumable snapshot read: the walk over one item's versions, newest
+/// first, to the version visible in the reader's snapshot.
+struct SiasTable::ReadTask {
+  Vid vid = 0;
+  std::optional<std::string>* row = nullptr;  ///< payload destination
+  Tid visible{};              ///< the visible version; invalid if none
+  bool loaded = false;        ///< map state loaded for this attempt
+  std::vector<Tid> versions;  ///< SIAS-V map copy, newest first
+  size_t pos = 0;             ///< SIAS-V cursor
+  Tid tid{};                  ///< chains cursor
+  bool first = true;
+  Xid newer_xmin = kInvalidXid;
+  int retries = 0;
+  size_t examined = 0;
+  BufferPool::AsyncFetch fetch;      ///< demand read the task waits on
+  BufferPool::AsyncFetch lookahead;  ///< SIAS-V next-version prefetch
+};
 
-Status SiasTable::GetVisible(Transaction* txn, Vid vid, bool* found,
-                             VersionRef* ref, std::string* payload) {
-  *found = false;
-  const Clog& clog = *env_.txns->clog();
-  const Snapshot& snap = txn->snapshot();
+Status SiasTable::StepRead(ReadTask* t, Transaction* txn, size_t io_depth,
+                           size_t* inflight, bool* done) {
   VirtualClock* clk = txn->clock();
-
+  // A lookahead that outlives its usefulness (item resolved, walk ended or
+  // restarted from a fresh map copy) is cancelled so its window slot and
+  // claim pin free up immediately.
+  auto drop_lookahead = [&] {
+    if (t->lookahead.valid && !t->lookahead.resident) --*inflight;
+    env_.pool->AbandonFetch(&t->lookahead);
+  };
   // Traversal telemetry: depth = versions examined before resolving (or
-  // exhausting) the walk; a probe that resolves no visible version is a
-  // read miss. Recorded on every exit path.
-  struct TraversalScope {
-    const bool* found;
-    size_t examined = 0;
-    explicit TraversalScope(const bool* f) : found(f) {}
-    ~TraversalScope() {
-      Obs().traversal_depth->Record(static_cast<VDuration>(examined));
-      if (!*found) Obs().read_misses->Increment();
+  // exhausting) the walk; a walk that resolves no visible version is a
+  // read miss.
+  auto finish = [&] {
+    drop_lookahead();
+    Obs().traversal_depth->Record(static_cast<VDuration>(t->examined));
+    if (!t->visible.valid()) Obs().read_misses->Increment();
+    *done = true;
+    return Status::OK();
+  };
+  // Raced walk (stale anchor / pruned slot): reload the map, up to three
+  // attempts in all.
+  auto restart = [&] {
+    drop_lookahead();
+    if (++t->retries >= 3) {
+      return Status::Internal("version walk raced with GC repeatedly");
     }
-  } trav(found);
+    t->loaded = false;
+    return Status::OK();
+  };
 
-  // Version-chain walk span: whatever virtual time the walk spends outside
-  // nested io_wait spans is this transaction's traversal phase.
-  obs::SpanScope trav_span(obs::SpanPhase::kTraversal, "mvcc", "get_visible",
-                           vid);
+  for (;;) {
+    if (!t->loaded) {
+      if (clk != nullptr) clk->Cpu(kCpuVidMapProbe);
+      if (scheme_ == VersionScheme::kSiasChains) {
+        t->tid = map_.Get(t->vid);
+      } else {
+        map_v_.Get(t->vid, &t->versions);
+        t->pos = 0;
+      }
+      ReadPausePoint(t->vid);
+      t->loaded = true;
+      t->first = true;
+      t->newer_xmin = kInvalidXid;
+    }
 
-  // Epoch pin for the whole walk: the map pointer loaded below, every page
-  // it references and every predecessor those versions point at stay
-  // physically intact until this thread exits the epoch — vacuum's wipes
-  // and vector frees queue behind it (src/mvcc/epoch.h). No page latch is
-  // taken on the hot path.
-  EpochGuard epoch;
-
-  for (int retry = 0; retry < 3; ++retry) {
-    if (clk != nullptr) clk->Cpu(kCpuVidMapProbe);
-    bool raced = false;
+    // Current version to examine; an exhausted walk is a miss. Chains
+    // (Algorithm 1) follow *ptr from the entrypoint; SIAS-V walks the
+    // vector.
+    Tid tid;
     if (scheme_ == VersionScheme::kSiasChains) {
-      // Algorithm 1: start at the entrypoint, follow *ptr until visible.
-      // The walk stops at or above every snapshot's horizon anchor, so it
-      // never follows the anchor's (possibly dangling) predecessor.
-      Tid tid = map_.Get(vid);
-      ReadPausePoint(vid);
-      bool first = true;
-      Xid newer_xmin = kInvalidXid;
-      while (tid.valid()) {
-        TupleHeader h;
-        Status s = FetchVersionReadPath(tid, clk, &h, nullptr);
-        if (s.IsNotFound()) {
-          // Anchor slot: the map entry raced with a concurrent prune —
-          // restart from the map. A *predecessor* pointing at a dead slot
-          // is the durable dangling-tail state (the anchor's pred may
-          // dangle into a reclaimed page by design, ChainOf has the same
-          // guard): the rest of the chain is gone, nothing visible there.
-          if (first) raced = true;
-          break;
-        }
-        SIAS_RETURN_NOT_OK(s);
-        if (h.vid != vid) {
-          // Same split: a stale anchor is a race, a predecessor resolving
-          // to a foreign item is a recycled page at the dangling tail.
-          if (first) raced = true;
-          break;
-        }
-        if (newer_xmin != kInvalidXid && h.xmin > newer_xmin) {
-          // A predecessor is never newer; this is a recycled slot holding
-          // the item again. Equal xmin is a real link — one transaction may
-          // stack several versions of the same item (e.g. a New-Order with
-          // a duplicate item id updates the same stock row twice).
-          break;
-        }
-        newer_xmin = h.xmin;
-        trav.examined++;
-        if (clk != nullptr) clk->Cpu(kCpuVisibilityCheck);
-        Obs().visibility_checks->Increment();
-        if (SiasVersionVisible(h, snap, clog)) {
-          ref->tid = tid;
-          ref->header = h;
-          if (payload != nullptr) {
-            SIAS_RETURN_NOT_OK(FetchVersionReadPath(tid, clk, &h, payload));
-          }
-          *found = true;
-          return Status::OK();
-        }
-        if (!first) {
-          Obs().version_hops->Increment();
-          read_version_hops_.fetch_add(1, std::memory_order_relaxed);
-        }
-        first = false;
-        tid = h.pred();
-      }
-      if (!raced) return Status::OK();  // chain exhausted: nothing visible
+      tid = t->tid;
+      if (!tid.valid()) return finish();
     } else {
-      // SIAS-V: the map holds the version vector; walk it newest-first.
-      std::vector<Tid> versions = map_v_.Get(vid);
-      ReadPausePoint(vid);
-      bool first = true;
-      raced = false;
-      for (Tid tid : versions) {
-        TupleHeader h;
-        Status s = FetchVersionReadPath(tid, clk, &h, nullptr);
-        if (s.IsNotFound()) {
-          raced = true;
-          break;
-        }
-        SIAS_RETURN_NOT_OK(s);
-        if (h.vid != vid) {
-          raced = true;
-          break;
-        }
-        trav.examined++;
-        if (clk != nullptr) clk->Cpu(kCpuVisibilityCheck);
-        Obs().visibility_checks->Increment();
-        if (SiasVersionVisible(h, snap, clog)) {
-          ref->tid = tid;
-          ref->header = h;
-          if (payload != nullptr) {
-            SIAS_RETURN_NOT_OK(FetchVersionReadPath(tid, clk, &h, payload));
+      if (t->pos >= t->versions.size()) return finish();
+      tid = t->versions[t->pos];
+    }
+
+    // Obtain the version's page: a finished demand fetch, the matching
+    // lookahead, the latch-free resident path, or — cold — submit the read
+    // and suspend. Pinned-but-unlatched access is safe because the caller's
+    // epoch pin keeps the bytes a stale map copy points at intact (vacuum's
+    // wipes and vector frees queue behind it, src/mvcc/epoch.h), and all
+    // reads below go through the atomic tuple accessors.
+    const PageId page_id{relation_, tid.page};
+    PageGuard guard;
+    if (t->fetch.valid) {
+      SIAS_CHECK(t->fetch.id == page_id);
+      auto g = env_.pool->FinishFetch(&t->fetch, clk);
+      if (!g.ok()) return g.status();
+      --*inflight;
+      guard = std::move(*g);
+    } else if (t->lookahead.valid && t->lookahead.id == page_id) {
+      auto g = env_.pool->FinishFetch(&t->lookahead, clk);
+      if (!g.ok()) return g.status();
+      --*inflight;
+      guard = std::move(*g);
+    } else if (!ProbeCached(tid, &guard)) {
+      auto f = env_.pool->StartFetch(page_id, clk);
+      if (!f.ok()) return f.status();
+      if (f->resident) {
+        guard = std::move(f->guard);
+        f->valid = false;
+      } else {
+        t->fetch = std::move(*f);
+        ++*inflight;
+        // In-walk lookahead (SIAS-V): also submit the NEXT version's page
+        // while this one is in flight — if this version turns out
+        // invisible, the walk resumes without paying a second full device
+        // latency.
+        if (scheme_ == VersionScheme::kSiasV && !t->lookahead.valid &&
+            *inflight < io_depth && t->pos + 1 < t->versions.size()) {
+          const PageId next{relation_, t->versions[t->pos + 1].page};
+          if (next.page != page_id.page) {
+            auto lf = env_.pool->StartFetch(next, clk);
+            if (lf.ok()) {
+              if (lf->resident) {
+                lf->guard.Release();
+                lf->valid = false;
+              } else {
+                t->lookahead = std::move(*lf);
+                ++*inflight;
+              }
+            }
+            // A failed lookahead submit is not an error: the walk will
+            // fetch the page on demand if it gets there.
           }
-          *found = true;
-          return Status::OK();
         }
-        if (!first) {
-          Obs().version_hops->Increment();
-          read_version_hops_.fetch_add(1, std::memory_order_relaxed);
-        }
-        first = false;
+        return Status::OK();  // suspended
       }
-      if (!raced) return Status::OK();
+    }
+
+    Slice tuple = SlottedPage(guard.data()).GetTupleAtomic(tid.slot);
+    TupleHeader h;
+    const bool dead = tuple.empty() || !DecodeTupleHeaderAtomic(tuple, &h);
+    if (dead || h.vid != t->vid) {
+      // SIAS-V: the vector raced with a concurrent prune — restart from the
+      // map. Chains split the case: a stale anchor is a race, but a
+      // *predecessor* resolving dead or foreign is the durable dangling-tail
+      // state (the anchor's pred may dangle into a reclaimed, recycled page
+      // by design; ChainOf has the same guard): nothing visible there.
+      if (scheme_ == VersionScheme::kSiasChains && !t->first) return finish();
+      SIAS_RETURN_NOT_OK(restart());
+      continue;
+    }
+    if (scheme_ == VersionScheme::kSiasChains) {
+      if (t->newer_xmin != kInvalidXid && h.xmin > t->newer_xmin) {
+        // A predecessor is never newer; this is a recycled slot holding the
+        // item again. Equal xmin is a real link — one transaction may stack
+        // several versions of the same item (e.g. a New-Order with a
+        // duplicate item id updates the same stock row twice).
+        return finish();
+      }
+      t->newer_xmin = h.xmin;
+    }
+    t->examined++;
+    if (clk != nullptr) clk->Cpu(kCpuVisibilityCheck);
+    Obs().visibility_checks->Increment();
+    if (SiasVersionVisible(h, txn->snapshot(), *env_.txns->clog())) {
+      t->visible = tid;
+      if (!h.is_tombstone()) {
+        Slice p = TuplePayload(tuple);
+        t->row->emplace(reinterpret_cast<const char*>(p.data()), p.size());
+      }
+      // Charged for every visible version, a tombstone's empty payload too.
+      if (clk != nullptr) clk->Cpu(kCpuTupleCopy);
+      return finish();
+    }
+    if (!t->first) {
+      Obs().version_hops->Increment();
+      read_version_hops_.fetch_add(1, std::memory_order_relaxed);
+    }
+    t->first = false;
+    if (scheme_ == VersionScheme::kSiasChains) {
+      t->tid = h.pred();
+    } else {
+      t->pos++;
     }
   }
-  return Status::Internal("version walk raced with GC repeatedly");
+}
+
+Status SiasTable::RunReads(Transaction* txn, ReadTask* tasks, size_t n,
+                           size_t io_depth) {
+  size_t inflight = 0;  // cold-page reads outstanding (demand + prefetch)
+  Status s = RunFetchTasks(n, io_depth, inflight, [&](size_t i, bool* done) {
+    return StepRead(&tasks[i], txn, io_depth, &inflight, done);
+  });
+  if (!s.ok()) {
+    for (size_t i = 0; i < n; ++i) {
+      env_.pool->AbandonFetch(&tasks[i].fetch);
+      env_.pool->AbandonFetch(&tasks[i].lookahead);
+    }
+  }
+  return s;
+}
+
+Status SiasTable::ReadOne(Transaction* txn, Vid vid,
+                          std::optional<std::string>* row, Tid* visible) {
+  // Version walk span: whatever virtual time the walk spends outside nested
+  // io_wait spans is this transaction's traversal phase.
+  obs::SpanScope trav_span(obs::SpanPhase::kTraversal, "mvcc", "read", vid);
+  // Epoch pin for the whole walk: the map copy loaded by the task, every
+  // page it references and every predecessor those versions point at stay
+  // physically intact until this thread exits the epoch. No page latch is
+  // taken.
+  EpochGuard epoch;
+  ReadTask t;
+  t.vid = vid;
+  t.row = row;
+  SIAS_RETURN_NOT_OK(RunReads(txn, &t, 1, /*io_depth=*/1));
+  if (visible != nullptr) *visible = t.visible;
+  return Status::OK();
 }
 
 Result<Vid> SiasTable::Insert(Transaction* txn, Slice row, Tid* tid_out) {
@@ -427,277 +494,29 @@ Result<std::optional<std::string>> SiasTable::Read(Transaction* txn,
   TRACE_OP("mvcc", "sias_read");
   reads_.fetch_add(1, std::memory_order_relaxed);
   Obs().reads->Increment();
-  bool found = false;
-  VersionRef ref;
-  std::string payload;
-  SIAS_RETURN_NOT_OK(GetVisible(txn, vid, &found, &ref, &payload));
-  if (!found || ref.header.is_tombstone()) {
-    return std::optional<std::string>{};
-  }
-  return std::optional<std::string>{std::move(payload)};
+  std::optional<std::string> row;
+  SIAS_RETURN_NOT_OK(ReadOne(txn, vid, &row, nullptr));
+  return row;
 }
 
 Status SiasTable::ReadMulti(Transaction* txn, const std::vector<Vid>& vids,
                             size_t io_depth,
                             std::vector<std::optional<std::string>>* rows) {
-  // Depth <= 1 pipelines nothing: take the sequential path (also the
-  // "sync" baseline the io-depth benches compare against).
-  if (io_depth <= 1 || vids.size() <= 1) {
-    return MvccTable::ReadMulti(txn, vids, io_depth, rows);
-  }
   TRACE_OP("mvcc", "sias_read_multi");
   obs::SpanScope trav_span(obs::SpanPhase::kTraversal, "mvcc", "read_multi",
                            vids.size());
+  reads_.fetch_add(vids.size(), std::memory_order_relaxed);
+  Obs().reads->Add(static_cast<int64_t>(vids.size()));
   rows->assign(vids.size(), std::optional<std::string>{});
-
-  const Clog& clog = *env_.txns->clog();
-  const Snapshot& snap = txn->snapshot();
-  VirtualClock* clk = txn->clock();
-
-  // One resumable traversal per VID. The task body replays GetVisible's
-  // walk (same raced-restart rules, same counters, same CPU charges), but
-  // where GetVisible would block on a cold page the task submits the read
-  // and SUSPENDS; the driver below admits further tasks until `io_depth`
-  // device reads are in flight, then resumes tasks in submit order. All
-  // reads submitted while the terminal's clock stands still receive
-  // overlapping channel reservations (arrival-time backfill), which is
-  // exactly the hardware-queue overlap the async device models.
-  struct ReadTask {
-    Vid vid = 0;
-    size_t out = 0;             ///< index into *rows
-    std::vector<Tid> versions;  ///< SIAS-V map copy, newest first
-    size_t pos = 0;             ///< SIAS-V cursor
-    Tid tid{};                  ///< chains cursor
-    bool first = true;
-    Xid newer_xmin = kInvalidXid;
-    int retries = 0;
-    size_t examined = 0;
-    bool found = false;
-    bool done = false;
-    BufferPool::AsyncFetch fetch;      ///< demand read the task waits on
-    BufferPool::AsyncFetch lookahead;  ///< SIAS-V next-version prefetch
-  };
-
-  // Epoch pin for the whole batch: every map copy loaded below and every
-  // page byte it references stays physically intact until the pin drops —
-  // the same reclamation argument as GetVisible, stretched over the batch.
+  // One epoch pin for the whole batch: the same reclamation argument as
+  // ReadOne's, stretched over every task.
   EpochGuard epoch;
-
   std::vector<ReadTask> tasks(vids.size());
-  size_t inflight = 0;  // cold-page reads outstanding (demand + prefetch)
-
-  auto abandon_all = [&]() {
-    for (ReadTask& t : tasks) {
-      env_.pool->AbandonFetch(&t.fetch);
-      env_.pool->AbandonFetch(&t.lookahead);
-    }
-  };
-
-  // Loads (or reloads, after a raced walk) the task's map state.
-  auto load_map = [&](ReadTask& t) {
-    if (clk != nullptr) clk->Cpu(kCpuVidMapProbe);
-    if (scheme_ == VersionScheme::kSiasChains) {
-      t.tid = map_.Get(t.vid);
-    } else {
-      map_v_.Get(t.vid, &t.versions);
-      t.pos = 0;
-    }
-    ReadPausePoint(t.vid);
-    t.first = true;
-    t.newer_xmin = kInvalidXid;
-  };
-
-  // A lookahead that outlives its usefulness (item resolved, walk ended or
-  // restarted from a fresh map copy) is cancelled so its window slot and
-  // claim pin free up immediately.
-  auto drop_lookahead = [&](ReadTask& t) {
-    if (t.lookahead.valid && !t.lookahead.resident) inflight--;
-    env_.pool->AbandonFetch(&t.lookahead);
-  };
-
-  // Records the per-item telemetry GetVisible's TraversalScope emits.
-  auto finish = [&](ReadTask& t) {
-    t.done = true;
-    drop_lookahead(t);
-    reads_.fetch_add(1, std::memory_order_relaxed);
-    Obs().reads->Increment();
-    Obs().traversal_depth->Record(static_cast<VDuration>(t.examined));
-    if (!t.found) Obs().read_misses->Increment();
-  };
-
-  // Raced-walk restart (stale anchor / pruned slot): reload the map copy,
-  // up to the same 3-attempt budget as GetVisible.
-  auto restart = [&](ReadTask& t) -> Status {
-    drop_lookahead(t);
-    if (++t.retries >= 3) {
-      return Status::Internal("version walk raced with GC repeatedly");
-    }
-    load_map(t);
-    return Status::OK();
-  };
-
-  // Advances one task until it completes or suspends on a cold page.
-  // Returns an error only for hard failures (the whole batch unwinds).
-  auto run = [&](ReadTask& t) -> Status {
-    while (!t.done) {
-      // Current version to examine; an exhausted walk is a miss.
-      Tid tid;
-      if (scheme_ == VersionScheme::kSiasChains) {
-        tid = t.tid;
-        if (!tid.valid()) {
-          finish(t);
-          return Status::OK();
-        }
-      } else {
-        if (t.pos >= t.versions.size()) {
-          finish(t);
-          return Status::OK();
-        }
-        tid = t.versions[t.pos];
-      }
-
-      // Obtain the version's page: a finished demand fetch, the matching
-      // lookahead, the latch-free resident path, or — cold — submit the
-      // read and suspend. Pinned-but-unlatched access is safe for the same
-      // reason as FetchVersionLatchFree: the epoch pin keeps the bytes a
-      // stale map copy points at intact, and all reads below go through
-      // the atomic tuple accessors.
-      const PageId page_id{relation_, tid.page};
-      PageGuard guard;
-      if (t.fetch.valid) {
-        SIAS_CHECK(t.fetch.id == page_id);
-        auto g = env_.pool->FinishFetch(&t.fetch, clk);
-        if (!g.ok()) return g.status();
-        inflight--;
-        guard = std::move(*g);
-      } else if (t.lookahead.valid && t.lookahead.id == page_id) {
-        auto g = env_.pool->FinishFetch(&t.lookahead, clk);
-        if (!g.ok()) return g.status();
-        inflight--;
-        guard = std::move(*g);
-      } else if (!env_.pool->TryFetchCached(page_id, &guard)) {
-        auto f = env_.pool->StartFetch(page_id, clk);
-        if (!f.ok()) return f.status();
-        if (f->resident) {
-          guard = std::move(f->guard);
-          f->valid = false;
-        } else {
-          t.fetch = std::move(*f);
-          inflight++;
-          // In-walk lookahead (SIAS-V): also submit the NEXT version's
-          // page while this one is in flight — if this version turns out
-          // invisible, the walk resumes without paying a second full
-          // device latency.
-          if (scheme_ == VersionScheme::kSiasV && !t.lookahead.valid &&
-              inflight < io_depth && t.pos + 1 < t.versions.size()) {
-            const PageId next{relation_, t.versions[t.pos + 1].page};
-            if (next.page != page_id.page) {
-              auto lf = env_.pool->StartFetch(next, clk);
-              if (lf.ok()) {
-                if (lf->resident) {
-                  lf->guard.Release();
-                  lf->valid = false;
-                } else {
-                  t.lookahead = std::move(*lf);
-                  inflight++;
-                }
-              }
-              // A failed lookahead submit is not an error: the walk will
-              // fetch the page on demand if it gets there.
-            }
-          }
-          return Status::OK();  // suspended
-        }
-      }
-
-      Slice tuple = SlottedPage(guard.data()).GetTupleAtomic(tid.slot);
-      TupleHeader h;
-      const bool dead = tuple.empty() || !DecodeTupleHeaderAtomic(tuple, &h);
-      if (dead || h.vid != t.vid) {
-        // Same split as GetVisible: a stale anchor is a race (restart from
-        // the map); a later SIAS-V entry or chain predecessor resolving
-        // dead/foreign is the dangling-tail state — nothing visible there.
-        if (scheme_ == VersionScheme::kSiasChains) {
-          if (t.first) {
-            SIAS_RETURN_NOT_OK(restart(t));
-            continue;
-          }
-          finish(t);
-          return Status::OK();
-        }
-        SIAS_RETURN_NOT_OK(restart(t));
-        continue;
-      }
-      if (scheme_ == VersionScheme::kSiasChains) {
-        if (t.newer_xmin != kInvalidXid && h.xmin > t.newer_xmin) {
-          // Recycled slot holding the item again (see GetVisible).
-          finish(t);
-          return Status::OK();
-        }
-        t.newer_xmin = h.xmin;
-      }
-      t.examined++;
-      if (clk != nullptr) clk->Cpu(kCpuVisibilityCheck);
-      Obs().visibility_checks->Increment();
-      if (SiasVersionVisible(h, snap, clog)) {
-        t.found = true;
-        if (!h.is_tombstone()) {
-          Slice p = TuplePayload(tuple);
-          (*rows)[t.out].emplace(reinterpret_cast<const char*>(p.data()),
-                                 p.size());
-          if (clk != nullptr) clk->Cpu(kCpuTupleCopy);
-        }
-        finish(t);
-        return Status::OK();
-      }
-      if (!t.first) {
-        Obs().version_hops->Increment();
-        read_version_hops_.fetch_add(1, std::memory_order_relaxed);
-      }
-      t.first = false;
-      if (scheme_ == VersionScheme::kSiasChains) {
-        t.tid = h.pred();
-      } else {
-        t.pos++;
-      }
-    }
-    return Status::OK();
-  };
-
-  // Driver: admit tasks until the in-flight window is full, then resume
-  // them in submit order (virtual-time completions are reaped by Wait, so
-  // FIFO resume is both simple and deterministic).
-  std::deque<size_t> suspended;
-  size_t next_admit = 0;
-  Status st;
-  while (true) {
-    while (next_admit < tasks.size() && inflight < io_depth) {
-      ReadTask& t = tasks[next_admit];
-      t.vid = vids[next_admit];
-      t.out = next_admit;
-      load_map(t);
-      st = run(t);
-      if (!st.ok()) {
-        abandon_all();
-        return st;
-      }
-      if (!t.done) suspended.push_back(next_admit);
-      next_admit++;
-    }
-    if (suspended.empty()) {
-      if (next_admit >= tasks.size()) break;
-      continue;  // window was full of lookaheads; admission resumes below
-    }
-    size_t i = suspended.front();
-    suspended.pop_front();
-    st = run(tasks[i]);
-    if (!st.ok()) {
-      abandon_all();
-      return st;
-    }
-    if (!tasks[i].done) suspended.push_back(i);
+  for (size_t i = 0; i < vids.size(); ++i) {
+    tasks[i].vid = vids[i];
+    tasks[i].row = &(*rows)[i];
   }
-  return Status::OK();
+  return RunReads(txn, tasks.data(), tasks.size(), io_depth);
 }
 
 Status SiasTable::Scan(Transaction* txn, const ScanCallback& cb) {
@@ -705,12 +524,9 @@ Status SiasTable::Scan(Transaction* txn, const ScanCallback& cb) {
   // version. More selective I/O than reading the full relation.
   Vid bound = vid_bound();
   for (Vid v = 0; v < bound; ++v) {
-    bool found = false;
-    VersionRef ref;
-    std::string payload;
-    SIAS_RETURN_NOT_OK(GetVisible(txn, v, &found, &ref, &payload));
-    if (!found || ref.header.is_tombstone()) continue;
-    if (!cb(v, Slice(payload))) return Status::OK();
+    std::optional<std::string> row;
+    SIAS_RETURN_NOT_OK(ReadOne(txn, v, &row, nullptr));
+    if (row.has_value() && !cb(v, Slice(*row))) return Status::OK();
   }
   return Status::OK();
 }
@@ -741,13 +557,12 @@ Status SiasTable::FullRelationScan(Transaction* txn, const ScanCallback& cb) {
     }
     guard.Unlatch();
     for (const auto& c : candidates) {
-      bool found = false;
-      VersionRef ref;
-      std::string payload;
-      SIAS_RETURN_NOT_OK(GetVisible(txn, c.vid, &found, &ref, &payload));
-      if (!found || ref.header.is_tombstone()) continue;
-      if (ref.tid == c.tid) {  // this candidate IS the visible version
-        if (!cb(c.vid, Slice(payload))) return Status::OK();
+      std::optional<std::string> row;
+      Tid visible;
+      SIAS_RETURN_NOT_OK(ReadOne(txn, c.vid, &row, &visible));
+      // Emit only the candidate that IS the visible version.
+      if (row.has_value() && visible == c.tid && !cb(c.vid, Slice(*row))) {
+        return Status::OK();
       }
     }
   }
@@ -758,12 +573,10 @@ Status SiasTable::ScanWithTid(Transaction* txn,
                               const VersionScanCallback& cb) {
   Vid bound = vid_bound();
   for (Vid v = 0; v < bound; ++v) {
-    bool found = false;
-    VersionRef ref;
-    std::string payload;
-    SIAS_RETURN_NOT_OK(GetVisible(txn, v, &found, &ref, &payload));
-    if (!found || ref.header.is_tombstone()) continue;
-    if (!cb(v, ref.tid, Slice(payload))) return Status::OK();
+    std::optional<std::string> row;
+    Tid visible;
+    SIAS_RETURN_NOT_OK(ReadOne(txn, v, &row, &visible));
+    if (row.has_value() && !cb(v, visible, Slice(*row))) return Status::OK();
   }
   return Status::OK();
 }
@@ -786,7 +599,7 @@ Result<std::vector<Tid>> SiasTable::ChainOf(Vid vid, VirtualClock* clk) {
   Xid newer_xmin = kInvalidXid;  // xmin of the previously visited version
   while (tid.valid()) {
     TupleHeader h;
-    Status s = FetchVersionReadPath(tid, clk, &h, nullptr);
+    Status s = FetchVersionReadPath(tid, clk, &h);
     if (!s.ok()) break;  // dangling tail: rest already reclaimed
     if (h.vid != vid && !chain.empty()) {
       // The anchor's predecessor pointer is allowed to dangle into a page
@@ -935,16 +748,24 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
   auto count = env_.pool->disk()->PageCount(relation_);
   if (!count.ok()) return count.status();
   // Seal the open append page so every page is GC-eligible; the next append
-  // opens a fresh (possibly recycled) page.
-  region_.SealOpenPage();
-  PageId open = region_.open_page();
+  // opens a fresh (possibly recycled) page. A page opened after the seal —
+  // by a concurrent writer or by this pass's own relocations — may be
+  // receiving appends the inventory below never saw, so the pass skips it.
+  const uint64_t sealed_at = region_.SealOpenPage();
   LockManager* locks = env_.txns->locks();
-  // Active snapshot bounds for SIAS-V mid-vector reclamation, sampled once:
-  // transactions starting later always resolve to a version GC keeps.
+  // Active snapshot bounds for SIAS-V mid-vector reclamation, sampled once.
+  // A transaction starting later sees every version committed by then, but
+  // not one committed after the sampling: a shadow from a transaction still
+  // running then is covered by that transaction's own pair, and one from a
+  // transaction not yet begun by the extra (first_unsampled, max) pair.
+  // Reading the next xid first keeps every transaction that begins in
+  // between inside one of the two.
+  const Xid first_unsampled = env_.txns->NextXid();
   std::vector<std::pair<Xid, Xid>> bounds = env_.txns->ActiveSnapshotBounds();
+  bounds.emplace_back(first_unsampled, std::numeric_limits<Xid>::max());
 
   for (PageNumber p = 0; p < *count; ++p) {
-    if (open.valid() && open.page == p) continue;  // still filling
+    if (region_.OpenedSince(p, sealed_at)) continue;  // still filling
     bool pending;
     {
       MutexLock g(&stats_mu_);
@@ -978,6 +799,10 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
     if (stats != nullptr) stats->pages_examined++;
     Obs().gc_pages_examined->Increment();
     if (slots.empty()) continue;
+    // Recycled from the free list and filled while it was inventoried.
+    // Otherwise it is sealed for the rest of the pass: only an empty,
+    // wiped page ever returns to the free list.
+    if (region_.OpenedSince(p, sealed_at)) continue;
 
     // Lock every item referenced by the page; skip the page if any item is
     // being written right now (retry on the next GC cycle).
@@ -1124,13 +949,11 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
             Tid cur = map_.Get(v);
             if (cur.valid() && cur.page == p) map_.Clear(v);
           } else {
-            // Drop all vector entries that live on this page.
-            std::vector<Tid> vec = map_v_.Get(v);
-            std::vector<Tid> kept;
-            for (Tid t : vec) {
-              if (t.page != p) kept.push_back(t);
-            }
-            map_v_.Set(v, std::move(kept));
+            // Drop the whole vector, not just this page's entries: the
+            // older versions may sit on other pages, and leaving them
+            // published without the tombstone would resurrect the item.
+            // Their slots become unreferenced garbage for those pages' GC.
+            map_v_.Clear(v);
           }
         } else if (scheme_ == VersionScheme::kSiasV) {
           // Rebuild the vector to exactly the kept live set — mid-vector
@@ -1223,13 +1046,19 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
           if (cur == Tid{p, s.slot}) map_.Clear(s.vid);
         }
         if (scheme_ == VersionScheme::kSiasV) {
-          // Keep the vector in sync.
-          std::vector<Tid> vec = map_v_.Get(s.vid);
-          std::vector<Tid> kept;
-          for (Tid t : vec) {
-            if (t != Tid{p, s.slot}) kept.push_back(t);
+          if (item_dead[s.vid]) {
+            // Whole item dead: unpublish every version, as the relocate
+            // path does, so no older version outlives the pruned tombstone.
+            map_v_.Clear(s.vid);
+          } else {
+            // Keep the vector in sync.
+            std::vector<Tid> vec = map_v_.Get(s.vid);
+            std::vector<Tid> kept;
+            for (Tid t : vec) {
+              if (t != Tid{p, s.slot}) kept.push_back(t);
+            }
+            map_v_.Set(s.vid, std::move(kept));
           }
-          map_v_.Set(s.vid, std::move(kept));
         }
       }
       if (!dead_slots.empty()) {

@@ -20,6 +20,8 @@
 #pragma once
 
 #include <atomic>
+#include <optional>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -54,14 +56,14 @@ class SiasTable : public MvccTable {
                 Tid* new_tid = nullptr) override;
   Status Delete(Transaction* txn, Vid vid) override;
   Result<std::optional<std::string>> Read(Transaction* txn, Vid vid) override;
-  /// Pipelined batch read: one resumable traversal task per VID. A task
-  /// that needs a cold page SUBMITS the read (BufferPool::StartFetch) and
-  /// suspends; the driver keeps up to `io_depth` device reads in flight
-  /// across tasks, so a batch of snapshot reads overlaps its page misses on
-  /// the flash channels instead of serializing them. SIAS-V tasks also
-  /// prefetch the next version's page before suspending (in-walk
-  /// lookahead). Semantics, telemetry and CPU charging match a sequential
-  /// Read() loop exactly.
+  /// Pipelined batch read: one resumable traversal task per VID, the same
+  /// task Read() runs alone. A task that needs a cold page SUBMITS the read
+  /// (BufferPool::StartFetch) and suspends; the driver keeps up to
+  /// `io_depth` device reads in flight across tasks, so a batch of snapshot
+  /// reads overlaps its page misses on the flash channels instead of
+  /// serializing them. SIAS-V tasks also prefetch the next version's page
+  /// before suspending (in-walk lookahead). At depth 1 the batch runs
+  /// exactly like a Read() loop.
   Status ReadMulti(Transaction* txn, const std::vector<Vid>& vids,
                    size_t io_depth,
                    std::vector<std::optional<std::string>>* rows) override;
@@ -118,25 +120,36 @@ class SiasTable : public MvccTable {
   Status FetchVersion(Tid tid, VirtualClock* clk, TupleHeader* header,
                       std::string* payload);
 
-  /// Latch-free fetch over a resident page: optimistic pin
-  /// (BufferPool::TryFetchCached) + atomic slot/header decode, no page
-  /// latch. Returns true when the optimistic path answered — `*status` is
-  /// then OK (outputs filled) or NotFound (slot dead). Returns false when
-  /// the page was not optimistically reachable; the caller falls back to
-  /// the latched FetchVersion. Callers must hold an epoch pin so that the
-  /// bytes a stale map copy points at cannot be wiped mid-read.
-  bool FetchVersionLatchFree(Tid tid, TupleHeader* header,
-                             std::string* payload, Status* status);
+  /// The snapshot read path's page probe: the pool's latch-free
+  /// TryFetchCached. A miss is counted (mvcc.read_latch_acquisitions), since
+  /// the caller then falls back to the pool's mutex-guarded fetch.
+  bool ProbeCached(Tid tid, PageGuard* out);
 
-  /// Snapshot-read fetch: latch-free when possible, counted latched
-  /// fallback otherwise (mvcc.read_latch_acquisitions).
-  Status FetchVersionReadPath(Tid tid, VirtualClock* clk,
-                              TupleHeader* header, std::string* payload);
+  /// Header of the version at tid over the read path: ProbeCached plus an
+  /// atomic decode, or the latched FetchVersion on a probe miss (ChainOf).
+  /// Callers must hold an epoch pin so that the bytes a stale map copy
+  /// points at cannot be wiped mid-read.
+  Status FetchVersionReadPath(Tid tid, VirtualClock* clk, TupleHeader* header);
 
-  /// Finds the version visible to txn, walking the chain/vector.
-  /// Returns NotFound-status-free nullopt-like: found=false when none.
-  Status GetVisible(Transaction* txn, Vid vid, bool* found, VersionRef* ref,
-                    std::string* payload);
+  /// One resumable snapshot read (defined in the .cc).
+  struct ReadTask;
+
+  /// Advances `t` until it resolves the item's visible version (sets
+  /// *done) or suspends on a cold page read it submitted. This is the only
+  /// snapshot-read walk: a blocking read is a batch of one at depth 1.
+  Status StepRead(ReadTask* t, Transaction* txn, size_t io_depth,
+                  size_t* inflight, bool* done);
+
+  /// Runs `n` read tasks with up to `io_depth` page reads in flight;
+  /// abandons their fetches on error. Callers hold an epoch pin.
+  Status RunReads(Transaction* txn, ReadTask* tasks, size_t n,
+                  size_t io_depth);
+
+  /// Resolves `vid` in txn's snapshot (a batch of one at depth 1). `*row`
+  /// gets the payload when the visible version is not a tombstone, and
+  /// `*visible` (if non-null) that version's TID.
+  Status ReadOne(Transaction* txn, Vid vid, std::optional<std::string>* row,
+                 Tid* visible);
 
   /// Entry validation for Update/Delete under the row lock
   /// (Algorithm 3 lines 3-6). Returns the base version reference.

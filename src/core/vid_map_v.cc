@@ -164,7 +164,10 @@ void VidMapV::TruncateAfter(Vid vid, size_t keep) {
 void VidMapV::Clear(Vid vid) {
   auto* slot = SlotForMutable(vid);
   const VersionVector* cur = slot->load(std::memory_order_seq_cst);
-  if (Install(slot, cur, nullptr)) Obs().entry_clears->Increment();
+  // Already empty: nothing is dropped, so nothing is counted.
+  if (cur != nullptr && Install(slot, cur, nullptr)) {
+    Obs().entry_clears->Increment();
+  }
 }
 
 void VidMapV::Set(Vid vid, std::vector<Tid> versions) {

@@ -72,7 +72,7 @@ class VidMapV {
   /// Drops all versions older than index `keep` (GC truncation).
   void TruncateAfter(Vid vid, size_t keep);
 
-  /// Removes the item entirely (fully-dead chain).
+  /// Removes the item entirely (fully-dead item); no-op if already empty.
   void Clear(Vid vid);
 
   /// Unconditional overwrite (recovery).

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
-#include <deque>
 
+#include "buffer/fetch_tasks.h"
 #include "common/coding.h"
 #include "common/logging.h"
 #include "obs/op_trace.h"
@@ -98,6 +98,82 @@ PageNumber DescendChild(const NodeView& node, Slice k, uint64_t v) {
   }
   if (pos == 0) return node.leftmost();
   return node.child(pos - 1);
+}
+
+/// One resumable range scan: descend to the leaf holding `lo`, then walk
+/// the leaf chain until `hi` or the callback stops it. This is the only
+/// leaf walk: Range (and through it Lookup) runs one task at depth 1.
+struct ScanTask {
+  Slice lo;
+  Slice hi;  ///< empty = unbounded
+  size_t idx = 0;  ///< range index handed to the callback
+  PageNumber current = kInvalidPageNumber;  ///< next page to visit
+  bool leaf_phase = false;  ///< descending vs walking the leaf chain
+  PageGuard leaf;  ///< last leaf visited, pinned until the next one arrives
+  BufferPool::AsyncFetch fetch;
+};
+
+/// Runs `n` scan tasks with up to `io_depth` page reads in flight.
+/// `emit(idx, key, value)` runs under the tree and page latch; returning
+/// false ends that one scan.
+template <typename Emit>
+Status RunScans(BufferPool* pool, RelationId relation, ScanTask* tasks,
+                size_t n, size_t io_depth, VirtualClock* clk,
+                const Emit& emit) {
+  size_t inflight = 0;
+  auto step = [&](size_t i, bool* done) -> Status {
+    ScanTask& t = tasks[i];
+    for (;;) {
+      PageGuard guard;
+      if (t.fetch.valid) {
+        auto g = pool->FinishFetch(&t.fetch, clk);
+        if (!g.ok()) return g.status();
+        inflight--;
+        guard = std::move(*g);
+      } else {
+        auto f = pool->StartFetch(PageId{relation, t.current}, clk);
+        if (!f.ok()) return f.status();
+        if (!f->resident) {
+          t.fetch = std::move(*f);
+          inflight++;
+          return Status::OK();  // suspended on the page read
+        }
+        guard = std::move(f->guard);
+        f->valid = false;
+      }
+      // The previous leaf stayed pinned until this page arrived, so the
+      // fetch could not choose its frame as the victim.
+      t.leaf.Release();
+      guard.LatchShared();
+      NodeView node{guard.data()};
+      if (!t.leaf_phase && !node.is_leaf()) {
+        // Descend with value 0 (-infinity tiebreak).
+        t.current = DescendChild(node, t.lo, 0);
+        guard.Unlatch();
+        continue;
+      }
+      size_t pos = t.leaf_phase ? 0 : LowerBound(node, t.lo, 0);
+      t.leaf_phase = true;
+      bool finished = false;
+      for (; pos < node.count() && !finished; ++pos) {
+        Slice k = node.key(pos);
+        finished = (!t.hi.empty() && k.Compare(t.hi) >= 0) ||
+                   !emit(t.idx, k, node.value(pos));
+      }
+      t.current = node.right();
+      guard.Unlatch();
+      if (finished || t.current == kInvalidPageNumber) {
+        *done = true;
+        return Status::OK();
+      }
+      t.leaf = std::move(guard);
+    }
+  };
+  Status s = RunFetchTasks(n, io_depth, inflight, step);
+  if (!s.ok()) {
+    for (size_t i = 0; i < n; ++i) pool->AbandonFetch(&tasks[i].fetch);
+  }
+  return s;
 }
 
 }  // namespace
@@ -340,289 +416,31 @@ Result<std::vector<uint64_t>> BTree::Lookup(Slice key, VirtualClock* clk) {
   return out;
 }
 
-Result<std::vector<std::vector<uint64_t>>> BTree::LookupMulti(
-    const std::vector<std::string>& keys, size_t io_depth,
-    VirtualClock* clk) {
-  std::vector<std::vector<uint64_t>> out(keys.size());
-  if (io_depth <= 1 || keys.size() <= 1) {
-    for (size_t i = 0; i < keys.size(); ++i) {
-      auto r = Lookup(Slice(keys[i]), clk);
-      if (!r.ok()) return r.status();
-      out[i] = std::move(*r);
-    }
-    return out;
-  }
-  TRACE_OP("index", "lookup_multi");
-  ReadLock lock(&tree_latch_);
-
-  // One resumable probe per key: descend from the root, collecting equal
-  // keys along the leaf chain. Where the sequential path would block on a
-  // cold page, the probe submits the read and suspends; the driver keeps
-  // up to io_depth reads in flight across probes.
-  struct ProbeTask {
-    Slice key;
-    size_t out = 0;
-    PageNumber current = kInvalidPageNumber;
-    bool leaf_phase = false;  ///< descending vs walking the leaf chain
-    bool done = false;
-    BufferPool::AsyncFetch fetch;
-  };
-
-  std::vector<ProbeTask> tasks(keys.size());
-  size_t inflight = 0;
-
-  auto abandon_all = [&]() {
-    for (ProbeTask& t : tasks) pool_->AbandonFetch(&t.fetch);
-  };
-
-  auto run = [&](ProbeTask& t) -> Status {
-    while (!t.done) {
-      PageGuard guard;
-      if (t.fetch.valid) {
-        auto g = pool_->FinishFetch(&t.fetch, clk);
-        if (!g.ok()) return g.status();
-        inflight--;
-        guard = std::move(*g);
-      } else {
-        auto f = pool_->StartFetch(PageId{relation_, t.current}, clk);
-        if (!f.ok()) return f.status();
-        if (f->resident) {
-          guard = std::move(f->guard);
-          f->valid = false;
-        } else {
-          t.fetch = std::move(*f);
-          inflight++;
-          return Status::OK();  // suspended on the page read
-        }
-      }
-      guard.LatchShared();
-      NodeView node{guard.data()};
-      if (!t.leaf_phase && !node.is_leaf()) {
-        PageNumber next = DescendChild(node, t.key, 0);
-        guard.Unlatch();
-        t.current = next;
-        continue;
-      }
-      // Leaf: collect while keys match, following the chain right (same
-      // traversal Lookup performs through Range).
-      size_t pos = t.leaf_phase ? 0 : LowerBound(node, t.key, 0);
-      t.leaf_phase = true;
-      bool past_key = false;
-      for (; pos < node.count(); ++pos) {
-        if (node.key(pos).Compare(t.key) != 0) {
-          past_key = true;
-          break;
-        }
-        out[t.out].push_back(node.value(pos));
-      }
-      PageNumber next = node.right();
-      guard.Unlatch();
-      if (past_key || next == kInvalidPageNumber) {
-        t.done = true;
-        return Status::OK();
-      }
-      t.current = next;
-    }
-    return Status::OK();
-  };
-
-  std::deque<size_t> suspended;
-  size_t next_admit = 0;
-  while (true) {
-    while (next_admit < tasks.size() && inflight < io_depth) {
-      ProbeTask& t = tasks[next_admit];
-      t.key = Slice(keys[next_admit]);
-      t.out = next_admit;
-      t.current = root_;
-      Status st = run(t);
-      if (!st.ok()) {
-        abandon_all();
-        return st;
-      }
-      if (!t.done) suspended.push_back(next_admit);
-      next_admit++;
-    }
-    if (suspended.empty()) {
-      if (next_admit >= tasks.size()) break;
-      continue;
-    }
-    size_t i = suspended.front();
-    suspended.pop_front();
-    Status st = run(tasks[i]);
-    if (!st.ok()) {
-      abandon_all();
-      return st;
-    }
-    if (!tasks[i].done) suspended.push_back(i);
-  }
-  return out;
-}
-
 Status BTree::Range(Slice lo, Slice hi, VirtualClock* clk,
                     const RangeCallback& cb) {
   ReadLock lock(&tree_latch_);
-  PageNumber current = root_;
-  // Descend with value 0 (-infinity tiebreak).
-  for (;;) {
-    auto g = pool_->FetchPage(PageId{relation_, current}, clk);
-    if (!g.ok()) return g.status();
-    PageGuard guard = std::move(*g);
-    guard.LatchShared();
-    NodeView node{guard.data()};
-    if (!node.is_leaf()) {
-      PageNumber next = DescendChild(node, lo, 0);
-      guard.Unlatch();
-      current = next;
-      continue;
-    }
-    // Walk leaves from here.
-    size_t pos = LowerBound(node, lo, 0);
-    for (;;) {
-      for (; pos < node.count(); ++pos) {
-        Slice k = node.key(pos);
-        if (!hi.empty() && k.Compare(hi) >= 0) {
-          guard.Unlatch();
-          return Status::OK();
-        }
-        if (!cb(k, node.value(pos))) {
-          guard.Unlatch();
-          return Status::OK();
-        }
-      }
-      PageNumber next = node.right();
-      guard.Unlatch();
-      if (next == kInvalidPageNumber) return Status::OK();
-      auto ng = pool_->FetchPage(PageId{relation_, next}, clk);
-      if (!ng.ok()) return ng.status();
-      guard = std::move(*ng);
-      guard.LatchShared();
-      node = NodeView{guard.data()};
-      pos = 0;
-    }
-  }
+  ScanTask t;
+  t.lo = lo;
+  t.hi = hi;
+  t.current = root_;
+  return RunScans(pool_, relation_, &t, 1, /*io_depth=*/1, clk,
+                  [&](size_t, Slice k, uint64_t v) { return cb(k, v); });
 }
 
 Status BTree::ScanMulti(const std::vector<ScanRange>& ranges,
                         size_t io_depth, VirtualClock* clk,
                         const ScanMultiCallback& cb) {
-  if (io_depth <= 1 || ranges.size() <= 1) {
-    for (size_t i = 0; i < ranges.size(); ++i) {
-      SIAS_RETURN_NOT_OK(Range(Slice(ranges[i].lo), Slice(ranges[i].hi), clk,
-                               [&](Slice k, uint64_t v) {
-                                 return cb(i, k, v);
-                               }));
-    }
-    return Status::OK();
-  }
   TRACE_OP("index", "scan_multi");
   ReadLock lock(&tree_latch_);
-
-  // One resumable scan per range: descend to the leaf holding lo, then walk
-  // the leaf chain until hi (or the callback stops it). Where the
-  // sequential path would block on a cold page, the scan submits the read
-  // and suspends; the driver keeps up to io_depth reads in flight across
-  // scans (same machinery as LookupMulti's probes).
-  struct ScanTask {
-    Slice lo;
-    Slice hi;
-    size_t idx = 0;
-    PageNumber current = kInvalidPageNumber;
-    bool leaf_phase = false;  ///< descending vs walking the leaf chain
-    bool done = false;
-    BufferPool::AsyncFetch fetch;
-  };
-
   std::vector<ScanTask> tasks(ranges.size());
-  size_t inflight = 0;
-
-  auto abandon_all = [&]() {
-    for (ScanTask& t : tasks) pool_->AbandonFetch(&t.fetch);
-  };
-
-  auto run = [&](ScanTask& t) -> Status {
-    while (!t.done) {
-      PageGuard guard;
-      if (t.fetch.valid) {
-        auto g = pool_->FinishFetch(&t.fetch, clk);
-        if (!g.ok()) return g.status();
-        inflight--;
-        guard = std::move(*g);
-      } else {
-        auto f = pool_->StartFetch(PageId{relation_, t.current}, clk);
-        if (!f.ok()) return f.status();
-        if (f->resident) {
-          guard = std::move(f->guard);
-          f->valid = false;
-        } else {
-          t.fetch = std::move(*f);
-          inflight++;
-          return Status::OK();  // suspended on the page read
-        }
-      }
-      guard.LatchShared();
-      NodeView node{guard.data()};
-      if (!t.leaf_phase && !node.is_leaf()) {
-        PageNumber next = DescendChild(node, t.lo, 0);
-        guard.Unlatch();
-        t.current = next;
-        continue;
-      }
-      size_t pos = t.leaf_phase ? 0 : LowerBound(node, t.lo, 0);
-      t.leaf_phase = true;
-      bool finished = false;
-      for (; pos < node.count(); ++pos) {
-        Slice k = node.key(pos);
-        if (!t.hi.empty() && k.Compare(t.hi) >= 0) {
-          finished = true;
-          break;
-        }
-        if (!cb(t.idx, k, node.value(pos))) {
-          finished = true;
-          break;
-        }
-      }
-      PageNumber next = node.right();
-      guard.Unlatch();
-      if (finished || next == kInvalidPageNumber) {
-        t.done = true;
-        return Status::OK();
-      }
-      t.current = next;
-    }
-    return Status::OK();
-  };
-
-  std::deque<size_t> suspended;
-  size_t next_admit = 0;
-  while (true) {
-    while (next_admit < tasks.size() && inflight < io_depth) {
-      ScanTask& t = tasks[next_admit];
-      t.lo = Slice(ranges[next_admit].lo);
-      t.hi = Slice(ranges[next_admit].hi);
-      t.idx = next_admit;
-      t.current = root_;
-      Status st = run(t);
-      if (!st.ok()) {
-        abandon_all();
-        return st;
-      }
-      if (!t.done) suspended.push_back(next_admit);
-      next_admit++;
-    }
-    if (suspended.empty()) {
-      if (next_admit >= tasks.size()) break;
-      continue;
-    }
-    size_t i = suspended.front();
-    suspended.pop_front();
-    Status st = run(tasks[i]);
-    if (!st.ok()) {
-      abandon_all();
-      return st;
-    }
-    if (!tasks[i].done) suspended.push_back(i);
+  for (size_t i = 0; i < ranges.size(); ++i) {
+    tasks[i].lo = Slice(ranges[i].lo);
+    tasks[i].hi = Slice(ranges[i].hi);
+    tasks[i].idx = i;
+    tasks[i].current = root_;
   }
-  return Status::OK();
+  return RunScans(pool_, relation_, tasks.data(), tasks.size(), io_depth, clk,
+                  cb);
 }
 
 uint64_t BTree::size() const {

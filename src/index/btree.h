@@ -53,18 +53,10 @@ class BTree {
   /// All values stored under `key`.
   Result<std::vector<uint64_t>> Lookup(Slice key, VirtualClock* clk);
 
-  /// Batched point lookup: one resumable descent per key under a single
-  /// shared tree latch. A probe that needs a cold page submits the read
-  /// (BufferPool::StartFetch) and suspends; up to `io_depth` page reads
-  /// stay in flight across probes, overlapping index I/O on the device
-  /// channels. result[i] holds the values stored under keys[i], exactly as
-  /// a Lookup() loop would return them.
-  Result<std::vector<std::vector<uint64_t>>> LookupMulti(
-      const std::vector<std::string>& keys, size_t io_depth,
-      VirtualClock* clk);
-
   /// Visits entries with lo <= key < hi in order; callback returns false to
-  /// stop. Pass empty `hi` for an unbounded upper end.
+  /// stop. Pass empty `hi` for an unbounded upper end. Runs the ScanMulti
+  /// scan task alone at depth 1: the previous leaf stays pinned until the
+  /// next one is fetched.
   using RangeCallback = std::function<bool(Slice key, uint64_t value)>;
   Status Range(Slice lo, Slice hi, VirtualClock* clk,
                const RangeCallback& cb);
@@ -76,14 +68,14 @@ class BTree {
   };
 
   /// Batched range scan: one resumable traversal per range under a single
-  /// shared tree latch, the Range() counterpart of LookupMulti. A scan that
-  /// needs a cold page submits the read (BufferPool::StartFetch) and
-  /// suspends; up to `io_depth` page reads stay in flight across scans, so
-  /// the descents and leaf walks of independent ranges overlap on the
+  /// shared tree latch — the only leaf walk; Range() is a batch of one. A
+  /// scan that needs a cold page submits the read (BufferPool::StartFetch)
+  /// and suspends; up to `io_depth` page reads stay in flight across scans,
+  /// so the descents and leaf walks of independent ranges overlap on the
   /// device channels. The callback receives the originating range index and
-  /// runs under the tree + page latch (like Range's); returning false ends
-  /// that one range's scan. Per range, entries arrive exactly as Range()
-  /// would deliver them.
+  /// runs under the tree + page latch; returning false ends that one
+  /// range's scan. Per range, entries arrive exactly as Range() would
+  /// deliver them.
   using ScanMultiCallback =
       std::function<bool(size_t range, Slice key, uint64_t value)>;
   Status ScanMulti(const std::vector<ScanRange>& ranges, size_t io_depth,

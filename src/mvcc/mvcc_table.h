@@ -87,9 +87,10 @@ class MvccTable {
   /// Batched read: resolves every VID in `vids` against txn's snapshot,
   /// writing one entry per input into `rows` (nullopt = no visible
   /// version). `io_depth` bounds how many page reads the implementation may
-  /// keep in flight concurrently on the async device queue; schemes without
-  /// a pipelined path fall back to a sequential Read() loop (this default),
-  /// which is semantically identical but serializes device time.
+  /// keep in flight concurrently on the async device queue. SiasTable runs
+  /// its read task, the same one Read() runs as a batch of one; SI keeps
+  /// this default sequential Read() loop, which is semantically identical
+  /// but serializes device time.
   virtual Status ReadMulti(Transaction* txn, const std::vector<Vid>& vids,
                            size_t io_depth,
                            std::vector<std::optional<std::string>>* rows) {

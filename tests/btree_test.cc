@@ -186,43 +186,51 @@ TEST_F(BTreeTest, ManyDuplicatesAcrossLeafSplits) {
   }
 }
 
-TEST(BTreeLookupMultiTest, MatchesSequentialLookups) {
-  // The batched resumable-probe path must return exactly what a Lookup()
-  // loop returns, per input slot — including duplicate runs, misses, and
-  // repeated keys in one batch. A 16-frame pool under a multi-level tree
-  // forces cold-page suspends mid-descent, so the state-machine resume path
-  // is actually exercised (with read latency so in-flight fetches overlap).
-  MemDevice device(1ull << 30, /*read_latency=*/50, /*write_latency=*/50);
+// Golden figures for the sync read entries: a fixed set of Range/Lookup
+// calls on a 16-frame pool with read latency must advance the clock and the
+// pool's miss and eviction counts by exactly these amounts. Which leaf stays
+// pinned while the next one is fetched steers the pool's victim choice, so a
+// change to the leaf walk's pin order moves these figures.
+TEST(BTreeGoldenTest, RangeAndLookupFigures) {
+  MemDevice device(1ull << 30, /*read_latency=*/50'000,
+                   /*write_latency=*/50'000);
   DiskManager disk(&device);
   ASSERT_TRUE(disk.CreateRelation(1).ok());
   BufferPool pool(&disk, 16);
   BTree tree(1, &pool);
   VirtualClock clk;
   ASSERT_TRUE(tree.Create(&clk).ok());
-  for (int64_t k = 0; k < 2000; ++k) {
-    ASSERT_TRUE(tree.Insert(IntKey(k * 3), k, &clk).ok());
-    if (k % 11 == 0) {  // duplicate runs
-      ASSERT_TRUE(tree.Insert(IntKey(k * 3), k + 100000, &clk).ok());
+  for (int64_t k = 0; k < 4000; ++k) {
+    ASSERT_TRUE(tree.Insert(IntKey(k * 2), k, &clk).ok());
+    if (k % 13 == 0) {  // duplicate runs
+      for (uint64_t d = 1; d <= 3; ++d) {
+        ASSERT_TRUE(tree.Insert(IntKey(k * 2), k + d * 100000, &clk).ok());
+      }
     }
   }
-  ASSERT_GE(tree.height(), 2u) << "the probe must descend through inner "
-                                  "pages for suspends to occur";
+  ASSERT_GE(tree.height(), 2u);
 
-  std::vector<std::string> keys;
-  for (int64_t k = 5990; k >= 0; k -= 7) keys.push_back(IntKey(k));
-  keys.push_back(IntKey(3));  // repeated key
-  keys.push_back(IntKey(999999));  // guaranteed miss
-
-  for (size_t depth : {size_t{1}, size_t{4}, size_t{8}}) {
-    auto multi = tree.LookupMulti(keys, depth, &clk);
-    ASSERT_TRUE(multi.ok()) << multi.status().ToString();
-    ASSERT_EQ(multi->size(), keys.size());
-    for (size_t i = 0; i < keys.size(); ++i) {
-      auto single = tree.Lookup(keys[i], &clk);
-      ASSERT_TRUE(single.ok());
-      EXPECT_EQ((*multi)[i], *single) << "slot " << i << " depth " << depth;
-    }
+  const VTime start = clk.now();
+  const BufferPoolStats before = pool.stats();
+  size_t entries = 0;
+  for (int64_t lo : {0, 3100, 7000, 1500, 5200, 100}) {
+    ASSERT_TRUE(tree.Range(IntKey(lo), IntKey(lo + 900), &clk,
+                           [&](Slice, uint64_t) {
+                             entries++;
+                             return true;
+                           })
+                    .ok());
   }
+  for (int64_t k = 0; k < 8000; k += 97) {
+    auto r = tree.Lookup(IntKey(k), &clk);
+    ASSERT_TRUE(r.ok());
+    entries += r->size();
+  }
+  const BufferPoolStats after = pool.stats();
+  EXPECT_EQ(entries, 3378u);
+  EXPECT_EQ(clk.now() - start, 5'800'000);
+  EXPECT_EQ(after.misses - before.misses, 114u);
+  EXPECT_EQ(after.evictions - before.evictions, 114u);
 }
 
 // Randomized model check, parameterized over operation mixes.
@@ -286,11 +294,40 @@ INSTANTIATE_TEST_SUITE_P(Mixes, BTreeRandomTest,
                                            std::make_tuple(3, 5000),
                                            std::make_tuple(4, 8000)));
 
+// The scan tests' reference: the distinct <key, value> pairs inserted
+// (the tree deduplicates exact pairs), in the tree's (key, value) order.
+using PairSet = std::set<std::pair<std::string, uint64_t>>;
+using Entries = std::vector<std::pair<std::string, uint64_t>>;
+
+// The reference entries of one range: lo <= key < hi (empty hi =
+// unbounded).
+Entries ExpectedRange(const PairSet& model, const BTree::ScanRange& r) {
+  Entries out;
+  for (auto it = model.lower_bound({r.lo, 0}); it != model.end(); ++it) {
+    if (!r.hi.empty() && it->first >= r.hi) break;
+    out.push_back(*it);
+  }
+  return out;
+}
+
+std::vector<Entries> ScanAll(BTree* tree,
+                             const std::vector<BTree::ScanRange>& ranges,
+                             size_t io_depth, VirtualClock* clk) {
+  std::vector<Entries> got(ranges.size());
+  Status s = tree->ScanMulti(ranges, io_depth, clk,
+                             [&](size_t r, Slice k, uint64_t v) {
+                               got[r].emplace_back(k.ToString(), v);
+                               return true;
+                             });
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  return got;
+}
+
 // Oracle check for the batched resumable range scan: ScanMulti over random
-// ranges must deliver, per range, exactly what a sequential Range() loop
-// delivers — under a pool small enough that scans genuinely suspend on cold
+// ranges must deliver, per range, exactly the inserted pairs in that range,
+// in order — under a pool small enough that scans genuinely suspend on cold
 // pages and overlap their reads.
-TEST(BTreeScanMultiTest, MatchesSequentialRangeOracle) {
+TEST(BTreeScanMultiTest, MatchesInsertedPairs) {
   MemDevice device(1ull << 30);
   DiskManager disk(&device);
   ASSERT_TRUE(disk.CreateRelation(1).ok());
@@ -301,11 +338,12 @@ TEST(BTreeScanMultiTest, MatchesSequentialRangeOracle) {
   ASSERT_TRUE(tree.Create(&clk).ok());
 
   Random rng(7);
+  PairSet model;
   for (int i = 0; i < 20000; ++i) {
-    ASSERT_TRUE(
-        tree.Insert(IntKey(rng.UniformInt(0, 100000)), rng.Uniform(0, 4),
-                    &clk)
-            .ok());
+    std::string key = IntKey(rng.UniformInt(0, 100000));
+    uint64_t value = rng.Uniform(0, 4);
+    ASSERT_TRUE(tree.Insert(Slice(key), value, &clk).ok());
+    model.emplace(std::move(key), value);
   }
 
   std::vector<BTree::ScanRange> ranges;
@@ -317,29 +355,12 @@ TEST(BTreeScanMultiTest, MatchesSequentialRangeOracle) {
     r.hi = rng.OneIn(8) ? std::string() : IntKey(hi);  // some unbounded
     ranges.push_back(std::move(r));
   }
+  std::vector<Entries> expected;
+  for (const auto& r : ranges) expected.push_back(ExpectedRange(model, r));
 
-  // Oracle: one sequential Range per range.
-  std::vector<std::vector<std::pair<std::string, uint64_t>>> expected(
-      ranges.size());
-  for (size_t i = 0; i < ranges.size(); ++i) {
-    ASSERT_TRUE(tree.Range(Slice(ranges[i].lo), Slice(ranges[i].hi), &clk,
-                           [&](Slice k, uint64_t v) {
-                             expected[i].emplace_back(k.ToString(), v);
-                             return true;
-                           })
-                    .ok());
-  }
-
-  for (size_t io_depth : {2, 4, 8}) {
-    std::vector<std::vector<std::pair<std::string, uint64_t>>> got(
-        ranges.size());
-    ASSERT_TRUE(tree.ScanMulti(ranges, io_depth, &clk,
-                               [&](size_t r, Slice k, uint64_t v) {
-                                 got[r].emplace_back(k.ToString(), v);
-                                 return true;
-                               })
-                    .ok());
-    EXPECT_EQ(got, expected) << "io_depth=" << io_depth;
+  for (size_t io_depth : {1, 2, 4, 8}) {
+    EXPECT_EQ(ScanAll(&tree, ranges, io_depth, &clk), expected)
+        << "io_depth=" << io_depth;
   }
 
   // Early-stop: a callback returning false ends only that range's scan.
@@ -352,6 +373,60 @@ TEST(BTreeScanMultiTest, MatchesSequentialRangeOracle) {
                   .ok());
   for (size_t i = 0; i < ranges.size(); ++i) {
     EXPECT_EQ(counts[i], std::min<size_t>(expected[i].size(), 5));
+  }
+}
+
+// Point ranges [key, key + "\0") hold exactly the entries of one key: the
+// batched form of Lookup(). Covers duplicate runs spanning leaves, a key
+// repeated in one batch and a guaranteed miss. A 16-frame pool under a
+// multi-level tree forces cold-page suspends mid-descent, with read latency
+// so in-flight fetches overlap.
+TEST(BTreeScanMultiTest, PointRangesMatchInsertedPairs) {
+  MemDevice device(1ull << 30, /*read_latency=*/50, /*write_latency=*/50);
+  DiskManager disk(&device);
+  ASSERT_TRUE(disk.CreateRelation(1).ok());
+  BufferPool pool(&disk, 16);
+  BTree tree(1, &pool);
+  VirtualClock clk;
+  ASSERT_TRUE(tree.Create(&clk).ok());
+  PairSet model;
+  for (int64_t k = 0; k < 2000; ++k) {
+    ASSERT_TRUE(tree.Insert(IntKey(k * 3), k, &clk).ok());
+    model.emplace(IntKey(k * 3), k);
+    if (k % 11 == 0) {  // duplicate runs
+      ASSERT_TRUE(tree.Insert(IntKey(k * 3), k + 100000, &clk).ok());
+      model.emplace(IntKey(k * 3), k + 100000);
+    }
+  }
+  ASSERT_GE(tree.height(), 2u) << "the scans must descend through inner "
+                                  "pages for suspends to occur";
+
+  std::vector<BTree::ScanRange> ranges;
+  auto add_point = [&](int64_t k) {
+    BTree::ScanRange r;
+    r.lo = IntKey(k);
+    r.hi = r.lo + std::string(1, '\0');
+    ranges.push_back(std::move(r));
+  };
+  for (int64_t k = 5990; k >= 0; k -= 7) add_point(k);
+  add_point(3);       // repeated key
+  add_point(999999);  // guaranteed miss
+
+  std::vector<Entries> expected;
+  for (const auto& r : ranges) expected.push_back(ExpectedRange(model, r));
+  ASSERT_EQ(expected[ranges.size() - 2].size(), 1u);
+  ASSERT_TRUE(expected.back().empty());
+
+  for (size_t depth : {size_t{1}, size_t{4}, size_t{8}}) {
+    EXPECT_EQ(ScanAll(&tree, ranges, depth, &clk), expected)
+        << "depth=" << depth;
+  }
+  for (size_t i = 0; i < ranges.size(); ++i) {
+    auto r = tree.Lookup(Slice(ranges[i].lo), &clk);
+    ASSERT_TRUE(r.ok());
+    std::vector<uint64_t> want;
+    for (const auto& e : expected[i]) want.push_back(e.second);
+    EXPECT_EQ(*r, want) << "slot " << i;
   }
 }
 

@@ -279,11 +279,34 @@ TEST_F(AppendRegionTest, RecyclesFreedPages) {
   EXPECT_EQ(region_.stats().pages_recycled, recycled_before + 1);
 }
 
+TEST_F(AppendRegionTest, OpenedSinceFlagsPagesOpenedAfterTheSeal) {
+  std::string tuple = MakeTuple(3000);
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(region_.Append(Slice(tuple), 2, 1, &clk_).ok());
+  }
+  const uint64_t mark = region_.SealOpenPage();
+  // Everything filled before the seal is stable.
+  EXPECT_FALSE(region_.OpenedSince(0, mark));
+  EXPECT_FALSE(region_.OpenedSince(1, mark));
+  EXPECT_FALSE(region_.OpenedSince(2, mark));
+  // A page recycled after the seal is filling again, as is a fresh one.
+  region_.AddFreePage(0);
+  auto recycled = region_.Append(Slice(tuple), 2, 1, &clk_);
+  ASSERT_TRUE(recycled.ok());
+  ASSERT_EQ(recycled->page, 0u);
+  EXPECT_TRUE(region_.OpenedSince(0, mark));
+  region_.SealOpenPage();
+  auto fresh = region_.Append(Slice(tuple), 2, 1, &clk_);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_TRUE(region_.OpenedSince(fresh->page, mark));
+  EXPECT_FALSE(region_.OpenedSince(1, mark));
+}
+
 TEST_F(AppendRegionTest, SealedPagesAreEvictionEligibleOpenIsNot) {
   std::string tuple = MakeTuple(100);
-  ASSERT_TRUE(region_.Append(Slice(tuple), 2, 1, &clk_).ok());
-  PageId open = region_.open_page();
-  ASSERT_TRUE(open.valid());
+  auto tid = region_.Append(Slice(tuple), 2, 1, &clk_);
+  ASSERT_TRUE(tid.ok());
+  const PageId open{1, tid->page};  // still the open page
   // Blow the pool: the sticky open page must survive.
   EXPECT_TRUE(disk_.CreateRelation(2).ok());
   for (int i = 0; i < 200; ++i) {

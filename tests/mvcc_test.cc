@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "mvcc/visibility.h"
+#include "obs/metrics.h"
 #include "tests/test_env.h"
 
 namespace sias {
@@ -258,49 +259,57 @@ TEST_P(MvccSchemeTest, InsertAndUpdateSameTransaction) {
   ASSERT_TRUE(Commit(t2.get()).ok());
 }
 
-TEST_P(MvccSchemeTest, ReadMultiMatchesSequentialReadOracle) {
-  // The resumable batched read path (up to io_depth page reads in flight)
-  // must be indistinguishable from a sequential Read() loop, across version
-  // histories, tombstones, and an old snapshot that predates the churn.
+TEST_P(MvccSchemeTest, ReadMultiMatchesHistory) {
+  // The batched read path (up to io_depth page reads in flight) and Read()
+  // must both return each item's value as of the reader's snapshot, derived
+  // here from the test's own history: version histories, tombstones, and an
+  // old snapshot that predates the churn.
   constexpr int kItems = 64;
   std::vector<Vid> vids;
   for (int i = 0; i < kItems; ++i) {
     vids.push_back(InsertCommitted(Numbered("base", i)));
   }
   auto old_snap = Begin();
+  // Expected value of item i in the old snapshot and in a fresh one.
+  std::vector<std::optional<std::string>> old_rows, new_rows;
   for (int i = 0; i < kItems; ++i) {
+    old_rows.push_back(Numbered("base", i));
     auto t = Begin();
     if (i % 5 == 0) {
       ASSERT_TRUE(table_->Delete(t.get(), vids[i]).ok());
+      new_rows.push_back(std::nullopt);
     } else if (i % 2 == 0) {
       ASSERT_TRUE(
           table_->Update(t.get(), vids[i], Slice(Numbered("new", i))).ok());
+      new_rows.push_back(Numbered("new", i));
+    } else {
+      new_rows.push_back(Numbered("base", i));
     }
     ASSERT_TRUE(Commit(t.get()).ok());
   }
+  auto fresh = Begin();
 
   // Batch with repeats and shuffled order, so result[i] must track input
   // order, not storage order.
+  std::vector<int> batch_items;
+  for (int i = kItems - 1; i >= 0; --i) batch_items.push_back(i);
+  for (int i = 0; i < kItems; i += 7) batch_items.push_back(i);
   std::vector<Vid> batch;
-  for (int i = kItems - 1; i >= 0; --i) batch.push_back(vids[i]);
-  for (int i = 0; i < kItems; i += 7) batch.push_back(vids[i]);
+  for (int i : batch_items) batch.push_back(vids[i]);
 
-  for (Transaction* reader : {old_snap.get(), (Transaction*)nullptr}) {
-    std::unique_ptr<Transaction> fresh;
-    if (reader == nullptr) {
-      fresh = Begin();
-      reader = fresh.get();
-    }
+  for (auto [reader, want] : {std::pair{old_snap.get(), &old_rows},
+                              std::pair{fresh.get(), &new_rows}}) {
     for (size_t depth : {size_t{1}, size_t{4}, size_t{8}}) {
       std::vector<std::optional<std::string>> rows;
       ASSERT_TRUE(table_->ReadMulti(reader, batch, depth, &rows).ok());
       ASSERT_EQ(rows.size(), batch.size());
       for (size_t i = 0; i < batch.size(); ++i) {
-        auto oracle = table_->Read(reader, batch[i]);
-        ASSERT_TRUE(oracle.ok());
-        EXPECT_EQ(rows[i], *oracle) << "vid " << batch[i] << " depth "
-                                    << depth;
+        EXPECT_EQ(rows[i], (*want)[batch_items[i]])
+            << "vid " << batch[i] << " depth " << depth;
       }
+    }
+    for (int i = 0; i < kItems; ++i) {
+      EXPECT_EQ(ReadIn(reader, vids[i]), (*want)[i]) << "item " << i;
     }
     ASSERT_TRUE(Commit(reader).ok());
   }
@@ -436,6 +445,36 @@ TEST_P(MvccSchemeTest, GcRemovesTombstonedItems) {
   ASSERT_TRUE(Commit(t.get()).ok());
 }
 
+TEST_P(MvccSchemeTest, GcOfTombstonePageDoesNotResurrectOlderVersion) {
+  // The deleted item's only data version shares a page with live items,
+  // so that page is kept; the tombstone sits alone on a later page, which
+  // GC reclaims. Dropping the tombstone must unpublish the item entirely.
+  constexpr int kItems = 8;
+  std::vector<Vid> vids;
+  for (int i = 0; i < kItems; ++i) {
+    vids.push_back(InsertCommitted(Numbered("v", i)));
+  }
+  GcStats gc;
+  // Seals the open page, so the tombstone below lands on a fresh one.
+  ASSERT_TRUE(
+      table_->GarbageCollect(env_->txns_.GcHorizon(), &clk_, &gc).ok());
+  {
+    auto t = Begin();
+    ASSERT_TRUE(table_->Delete(t.get(), vids[0]).ok());
+    ASSERT_TRUE(Commit(t.get()).ok());
+  }
+  for (int round = 0; round < 2; ++round) {
+    ASSERT_TRUE(
+        table_->GarbageCollect(env_->txns_.GcHorizon(), &clk_, &gc).ok());
+    auto t = Begin();
+    EXPECT_FALSE(ReadIn(t.get(), vids[0]).has_value()) << "round " << round;
+    for (int i = 1; i < kItems; ++i) {
+      EXPECT_EQ(ReadIn(t.get(), vids[i]).value_or(""), Numbered("v", i));
+    }
+    ASSERT_TRUE(Commit(t.get()).ok());
+  }
+}
+
 TEST_P(MvccSchemeTest, ConcurrentDisjointWritersAllSucceed) {
   constexpr int kThreads = 4;
   constexpr int kPerThread = 50;
@@ -502,17 +541,20 @@ TEST_P(MvccSchemeTest, ConcurrentContendedWritersSerialize) {
   ASSERT_TRUE(Commit(t.get()).ok());
 }
 
+// "SIAS-V" -> "SIAS_V": gtest parameter names must be identifiers.
+std::string SchemeName(const ::testing::TestParamInfo<VersionScheme>& info) {
+  std::string n = ToString(info.param);
+  for (auto& c : n) {
+    if (c == '-') c = '_';
+  }
+  return n;
+}
+
 INSTANTIATE_TEST_SUITE_P(AllSchemes, MvccSchemeTest,
                          ::testing::Values(VersionScheme::kSi,
                                            VersionScheme::kSiasChains,
                                            VersionScheme::kSiasV),
-                         [](const auto& info) {
-                           std::string n = ToString(info.param);
-                           for (auto& c : n) {
-                             if (c == '-') c = '_';
-                           }
-                           return n;
-                         });
+                         SchemeName);
 
 // ---------------------------------------------------------------------------
 // Scheme-specific physical behaviour.
@@ -716,6 +758,183 @@ TEST_F(PhysicalBehaviourTest, SiasGcReclaimsAndRecyclesPages) {
   EXPECT_EQ(row->value_or(""), std::string(200, 'c'));
   ASSERT_TRUE(env.txns_.Commit(t.get()).ok());
 }
+
+// ---------------------------------------------------------------------------
+// Golden read-path figures. A fixed history (updates, deletes, an old
+// snapshot) on a 16-frame pool with device read latency; a Read loop and a
+// Scan must advance the virtual clock and the traversal and buffer counters
+// by exactly these amounts. Any change to the CPU charged per read, the pages
+// a read fetches or the pool's victim choice moves one of them.
+// ---------------------------------------------------------------------------
+
+struct ReadFigures {
+  VDuration clock = 0;
+  int64_t visibility_checks = 0;
+  int64_t version_hops = 0;
+  int64_t read_misses = 0;
+  uint64_t depth_count = 0;
+  double depth_sum = 0;
+  uint64_t buffer_misses = 0;
+};
+
+ReadFigures Capture(const VirtualClock& clk, const BufferPool& pool) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+  Histogram depth = reg.GetHistogram("mvcc.traversal_depth")->Snapshot();
+  return ReadFigures{clk.now(),
+                     reg.GetCounter("mvcc.visibility_checks")->Value(),
+                     reg.GetCounter("mvcc.version_hops")->Value(),
+                     reg.GetCounter("mvcc.read_misses")->Value(),
+                     depth.count(),
+                     depth.Sum(),
+                     pool.stats().misses};
+}
+
+void ExpectDelta(const ReadFigures& before, const ReadFigures& after,
+                 const ReadFigures& want, const char* what) {
+  SCOPED_TRACE(what);
+  EXPECT_EQ(after.clock - before.clock, want.clock);
+  EXPECT_EQ(after.visibility_checks - before.visibility_checks,
+            want.visibility_checks);
+  EXPECT_EQ(after.version_hops - before.version_hops, want.version_hops);
+  EXPECT_EQ(after.read_misses - before.read_misses, want.read_misses);
+  EXPECT_EQ(after.depth_count - before.depth_count, want.depth_count);
+  EXPECT_EQ(after.depth_sum - before.depth_sum, want.depth_sum);
+  EXPECT_EQ(after.buffer_misses - before.buffer_misses, want.buffer_misses);
+}
+
+class ReadPathGoldenTest : public ::testing::TestWithParam<VersionScheme> {};
+
+// Both schemes examine the same versions in the same order, so they share
+// one set of figures.
+TEST_P(ReadPathGoldenTest, ReadLoopAndScanFigures) {
+  TestEnv env(/*pool_frames=*/16, /*with_wal=*/true, /*lock_timeout_ms=*/200,
+              /*read_latency=*/50'000);
+  auto table = env.MakeTable(GetParam(), /*relation=*/1);
+  VirtualClock clk;
+
+  // 200 items of 400 bytes (~11 pages), 10 more after the old snapshot,
+  // then four rounds that each update a third of the items with 400-byte
+  // rows and delete a tenth of them: ~24 heap pages.
+  constexpr int kItems = 200;
+  std::vector<Vid> vids;
+  {
+    auto t = env.txns_.Begin(&clk);
+    for (int i = 0; i < kItems; ++i) {
+      auto vid = table->Insert(t.get(), Slice(std::string(400, 'a' + i % 26)));
+      ASSERT_TRUE(vid.ok());
+      vids.push_back(*vid);
+    }
+    ASSERT_TRUE(env.txns_.Commit(t.get()).ok());
+  }
+  auto old_snap = env.txns_.Begin(&clk);
+  // Items the old snapshot cannot see at all: its read misses.
+  constexpr int kLate = 10;
+  {
+    auto t = env.txns_.Begin(&clk);
+    for (int i = 0; i < kLate; ++i) {
+      auto vid = table->Insert(t.get(), Slice(std::string(400, 'z')));
+      ASSERT_TRUE(vid.ok());
+      vids.push_back(*vid);
+    }
+    ASSERT_TRUE(env.txns_.Commit(t.get()).ok());
+  }
+  std::vector<bool> deleted(kItems, false);
+  for (int round = 0; round < 4; ++round) {
+    auto t = env.txns_.Begin(&clk);
+    for (int i = 0; i < kItems; ++i) {
+      if (deleted[i]) continue;
+      if (i % 10 == round) {
+        ASSERT_TRUE(table->Delete(t.get(), vids[i]).ok());
+        deleted[i] = true;
+      } else if ((i + round) % 3 == 0) {
+        ASSERT_TRUE(table
+                        ->Update(t.get(), vids[i],
+                                 Slice(std::string(400, 'A' + round)))
+                        .ok());
+      }
+    }
+    ASSERT_TRUE(env.txns_.Commit(t.get()).ok());
+  }
+  auto fresh = env.txns_.Begin(&clk);
+
+  {
+    const ReadFigures before = Capture(clk, env.pool_);
+    // A strided order, so consecutive reads land on different pages.
+    for (Transaction* reader : {old_snap.get(), fresh.get()}) {
+      for (size_t i = 0; i < vids.size(); ++i) {
+        ASSERT_TRUE(table->Read(reader, vids[(i * 37) % vids.size()]).ok());
+      }
+    }
+    ExpectDelta(before, Capture(clk, env.pool_),
+                ReadFigures{7'313'300, 700, 80, 10, 420, 700, 144},
+                "read loop");
+  }
+  {
+    const ReadFigures before = Capture(clk, env.pool_);
+    size_t rows = 0;
+    for (Transaction* reader : {old_snap.get(), fresh.get()}) {
+      ASSERT_TRUE(table
+                      ->Scan(reader,
+                             [&](Vid, Slice) {
+                               rows++;
+                               return true;
+                             })
+                      .ok());
+    }
+    EXPECT_EQ(rows, size_t{kItems} + kItems + kLate - kItems * 4 / 10);
+    ExpectDelta(before, Capture(clk, env.pool_),
+                ReadFigures{513'300, 700, 80, 10, 420, 700, 8}, "scan");
+  }
+  ASSERT_TRUE(env.txns_.Commit(old_snap.get()).ok());
+  ASSERT_TRUE(env.txns_.Commit(fresh.get()).ok());
+}
+
+// mvcc.read_latch_acquisitions counts version fetches that miss the
+// latch-free probe, batched reads included: zero over a warm pool, rising on
+// a cold one.
+class ReadLatchCounterTest : public ::testing::TestWithParam<VersionScheme> {};
+
+TEST_P(ReadLatchCounterTest, BatchedReadsCountProbeMisses) {
+  obs::Counter* fallbacks = obs::MetricsRegistry::Default().GetCounter(
+      "mvcc.read_latch_acquisitions");
+  for (bool warm : {true, false}) {
+    SCOPED_TRACE(warm ? "warm pool" : "cold pool");
+    // 200 rows of 1000 bytes fill ~29 pages.
+    TestEnv env(/*pool_frames=*/warm ? 256 : 16);
+    auto table = env.MakeTable(GetParam(), /*relation=*/1);
+    VirtualClock clk;
+    std::vector<Vid> vids;
+    auto t = env.txns_.Begin(&clk);
+    for (int i = 0; i < 200; ++i) {
+      auto vid = table->Insert(t.get(), Slice(std::string(1000, 'v')));
+      ASSERT_TRUE(vid.ok());
+      vids.push_back(*vid);
+    }
+    ASSERT_TRUE(env.txns_.Commit(t.get()).ok());
+    auto reader = env.txns_.Begin(&clk);
+    std::vector<std::optional<std::string>> rows;
+    if (warm) {  // a first pass leaves every page resident
+      ASSERT_TRUE(table->ReadMulti(reader.get(), vids, 4, &rows).ok());
+    }
+    const int64_t before = fallbacks->Value();
+    ASSERT_TRUE(table->ReadMulti(reader.get(), vids, 4, &rows).ok());
+    if (warm) {
+      EXPECT_EQ(fallbacks->Value(), before);
+    } else {
+      EXPECT_GT(fallbacks->Value(), before);
+    }
+    ASSERT_TRUE(env.txns_.Commit(reader.get()).ok());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(SiasSchemes, ReadPathGoldenTest,
+                         ::testing::Values(VersionScheme::kSiasChains,
+                                           VersionScheme::kSiasV),
+                         SchemeName);
+INSTANTIATE_TEST_SUITE_P(SiasSchemes, ReadLatchCounterTest,
+                         ::testing::Values(VersionScheme::kSiasChains,
+                                           VersionScheme::kSiasV),
+                         SchemeName);
 
 }  // namespace
 }  // namespace sias

@@ -21,8 +21,8 @@ namespace sias {
 class TestEnv {
  public:
   explicit TestEnv(size_t pool_frames = 256, bool with_wal = true,
-                   int lock_timeout_ms = 200)
-      : device_(1ull << 30),
+                   int lock_timeout_ms = 200, VDuration read_latency = 0)
+      : device_(1ull << 30, read_latency),
         wal_device_(1ull << 30),
         disk_(&device_),
         pool_(&disk_, pool_frames,
