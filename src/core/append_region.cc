@@ -44,8 +44,8 @@ Status AppendRegion::OpenNewPageLocked(VirtualClock* clk) {
     open_page_ = guard.id().page;
   }
   stats_.pages_opened++;
-  if (opened_at_.size() <= open_page_) opened_at_.resize(open_page_ + 1, 0);
-  opened_at_[open_page_] = stats_.pages_opened;
+  if (pages_.size() <= open_page_) pages_.resize(open_page_ + 1);
+  pages_[open_page_] = PageState{stats_.pages_opened, /*hinted=*/true, {}};
   SIAS_RETURN_NOT_OK(pool_->SetSticky(PageId{relation_, open_page_}, true));
   // The fresh open page exists only in memory until a flush policy persists
   // it; a cut here loses the page but not the WAL records that fill it.
@@ -54,7 +54,8 @@ Status AppendRegion::OpenNewPageLocked(VirtualClock* clk) {
 }
 
 Result<Tid> AppendRegion::Append(Slice tuple, Xid xid, uint64_t aux,
-                                 VirtualClock* clk) {
+                                 VirtualClock* clk, PageNumber superseded,
+                                 bool born_dead) {
   MutexLock g(&mu_);
   for (int attempt = 0; attempt < 3; ++attempt) {
     if (open_page_ == kInvalidPageNumber) {
@@ -72,6 +73,10 @@ Result<Tid> AppendRegion::Append(Slice tuple, Xid xid, uint64_t aux,
       continue;  // retry on the fresh page
     }
     Tid tid{open_page_, slot};
+    PageGcHint& hint = pages_[open_page_].hint;
+    hint.tuples++;
+    if (born_dead) hint.dead_bound++;
+    BumpDeadLocked(superseded);
     Lsn lsn = kInvalidLsn;
     if (wal_ != nullptr) {
       WalRecord rec;
@@ -82,7 +87,12 @@ Result<Tid> AppendRegion::Append(Slice tuple, Xid xid, uint64_t aux,
       rec.aux = aux;
       rec.body.assign(reinterpret_cast<const char*>(tuple.data()),
                       tuple.size());
-      SIAS_ASSIGN_OR_RETURN(lsn, wal_->Append(rec));
+      auto lr = wal_->Append(rec);
+      if (!lr.ok()) {
+        if (!born_dead) hint.dead_bound++;  // the slot stays, unreferenced
+        return lr.status();
+      }
+      lsn = *lr;
     }
     guard.MarkDirty(lsn);
     guard.Unlatch();
@@ -114,7 +124,45 @@ uint64_t AppendRegion::SealOpenPage() {
 
 bool AppendRegion::OpenedSince(PageNumber page, uint64_t mark) const {
   MutexLock g(&mu_);
-  return page < opened_at_.size() && opened_at_[page] > mark;
+  return page < pages_.size() && pages_[page].opened_at > mark;
+}
+
+void AppendRegion::BumpDeadLocked(PageNumber page) {
+  if (page < pages_.size() && pages_[page].hinted) {
+    pages_[page].hint.dead_bound++;
+  }
+}
+
+void AppendRegion::NoteDead(PageNumber page) {
+  MutexLock g(&mu_);
+  BumpDeadLocked(page);
+}
+
+bool AppendRegion::MayNeedGc(PageNumber page) const {
+  MutexLock g(&mu_);
+  if (page >= pages_.size() || !pages_[page].hinted) return true;
+  const PageGcHint& hint = pages_[page].hint;
+  const uint32_t min_live =
+      hint.tuples > hint.dead_bound ? hint.tuples - hint.dead_bound : 0;
+  return WorthRelocating(min_live, hint.tuples);
+}
+
+void AppendRegion::SetGcHint(PageNumber page, PageGcHint hint) {
+  MutexLock g(&mu_);
+  if (pages_.size() <= page) pages_.resize(page + 1);
+  pages_[page].hinted = true;
+  pages_[page].hint = hint;
+}
+
+void AppendRegion::ForgetGcHint(PageNumber page) {
+  MutexLock g(&mu_);
+  if (page < pages_.size()) pages_[page].hinted = false;
+}
+
+std::optional<PageGcHint> AppendRegion::GcHintForTest(PageNumber page) const {
+  MutexLock g(&mu_);
+  if (page >= pages_.size() || !pages_[page].hinted) return std::nullopt;
+  return pages_[page].hint;
 }
 
 AppendRegionStats AppendRegion::stats() const {

@@ -9,7 +9,9 @@
 // recycled before new pages are allocated.
 #pragma once
 
+#include <cstddef>
 #include <deque>
+#include <optional>
 #include <vector>
 
 #include "buffer/buffer_pool.h"
@@ -28,6 +30,24 @@ struct AppendRegionStats {
   uint64_t pages_recycled = 0;
 };
 
+/// GC's reclaim threshold: a page is relocated and recycled once at most a
+/// quarter of its `slots` occupied slots hold live versions.
+inline bool WorthRelocating(size_t live, size_t slots) {
+  return live * 4 <= slots;
+}
+
+/// In-memory garbage hint of one append page, kept only for pages this
+/// process opened: `tuples` is the number of occupied slots, and
+/// `dead_bound` an upper bound on how many of those versions are or can
+/// ever become dead without another bump (superseded, tombstone, aborted
+/// or possibly aborting). GC needs to classify a page only when
+/// tuples - dead_bound live versions would pass `WorthRelocating`; any
+/// other page cannot reach the threshold.
+struct PageGcHint {
+  uint32_t tuples = 0;
+  uint32_t dead_bound = 0;
+};
+
 /// Thread-safe tuple-version appender for one relation.
 class AppendRegion {
  public:
@@ -36,7 +56,27 @@ class AppendRegion {
 
   /// Appends an encoded tuple version; returns its TID. Logs a
   /// kHeapInsert WAL record with `aux` (the VID) when WAL is attached.
-  Result<Tid> Append(Slice tuple, Xid xid, uint64_t aux, VirtualClock* clk);
+  /// In the same critical section it bumps the dead bound of `superseded`
+  /// (the page of the version this one replaces, if any) and, when
+  /// `born_dead`, of the new version's own page.
+  Result<Tid> Append(Slice tuple, Xid xid, uint64_t aux, VirtualClock* clk,
+                     PageNumber superseded = kInvalidPageNumber,
+                     bool born_dead = false);
+
+  /// Bumps the dead bound of `page` (an aborted version's page).
+  void NoteDead(PageNumber page);
+
+  /// False only if `page` has a hint that rules out `WorthRelocating`.
+  bool MayNeedGc(PageNumber page) const;
+
+  /// Replaces the hint of `page` with an exact classification.
+  void SetGcHint(PageNumber page, PageGcHint hint);
+
+  /// Drops the hint of a reclaimed page; reopening gives it a fresh one.
+  void ForgetGcHint(PageNumber page);
+
+  /// The hint of `page`, if it has one (tests).
+  std::optional<PageGcHint> GcHintForTest(PageNumber page) const;
 
   /// Hands a GC-reclaimed page back for reuse.
   void AddFreePage(PageNumber page);
@@ -54,6 +94,7 @@ class AppendRegion {
 
  private:
   Status OpenNewPageLocked(VirtualClock* clk) SIAS_REQUIRES(mu_);
+  void BumpDeadLocked(PageNumber page) SIAS_REQUIRES(mu_);
 
   RelationId relation_;
   BufferPool* pool_;
@@ -64,8 +105,14 @@ class AppendRegion {
   mutable Mutex mu_{LatchRank::kAppendRegion};
   PageNumber open_page_ SIAS_GUARDED_BY(mu_) = kInvalidPageNumber;
   std::deque<PageNumber> free_pages_ SIAS_GUARDED_BY(mu_);
-  /// Per page: value of stats_.pages_opened right after its latest open.
-  std::vector<uint64_t> opened_at_ SIAS_GUARDED_BY(mu_);
+  struct PageState {
+    /// Value of stats_.pages_opened right after the page's latest open.
+    uint64_t opened_at = 0;
+    bool hinted = false;
+    PageGcHint hint;
+  };
+  /// Indexed by page number.
+  std::vector<PageState> pages_ SIAS_GUARDED_BY(mu_);
   AppendRegionStats stats_ SIAS_GUARDED_BY(mu_);
 };
 

@@ -31,6 +31,7 @@ struct MvccCounters {
   obs::Counter* ww_conflicts;
   obs::HistogramMetric* traversal_depth;
   obs::Counter* gc_pages_examined;
+  obs::Counter* gc_pages_classified;
   obs::Counter* gc_pages_reclaimed;
   obs::Counter* gc_versions_discarded;
   obs::Counter* gc_versions_relocated;
@@ -46,6 +47,7 @@ struct MvccCounters {
     ww_conflicts = reg.GetCounter("mvcc.ww_conflicts");
     traversal_depth = reg.GetHistogram("mvcc.traversal_depth");
     gc_pages_examined = reg.GetCounter("mvcc.gc.pages_examined");
+    gc_pages_classified = reg.GetCounter("mvcc.gc.pages_classified");
     gc_pages_reclaimed = reg.GetCounter("mvcc.gc.pages_reclaimed");
     gc_versions_discarded = reg.GetCounter("mvcc.gc.versions_discarded");
     gc_versions_relocated = reg.GetCounter("mvcc.gc.versions_relocated");
@@ -175,7 +177,7 @@ Status SiasTable::StepRead(ReadTask* t, Transaction* txn, size_t io_depth,
     *done = true;
     return Status::OK();
   };
-  // Raced walk (stale anchor / pruned slot): reload the map, up to three
+  // Raced walk (stale anchor / wiped slot): reload the map, up to three
   // attempts in all.
   auto restart = [&] {
     drop_lookahead();
@@ -271,7 +273,7 @@ Status SiasTable::StepRead(ReadTask* t, Transaction* txn, size_t io_depth,
     TupleHeader h;
     const bool dead = tuple.empty() || !DecodeTupleHeaderAtomic(tuple, &h);
     if (dead || h.vid != t->vid) {
-      // SIAS-V: the vector raced with a concurrent prune — restart from the
+      // SIAS-V: the vector raced with a concurrent reclaim — restart from the
       // map. Chains split the case: a stale anchor is a race, but a
       // *predecessor* resolving dead or foreign is the durable dangling-tail
       // state (the anchor's pred may dangle into a reclaimed, recycled page
@@ -363,10 +365,16 @@ Result<Vid> SiasTable::Insert(Transaction* txn, Slice row, Tid* tid_out) {
       Tid tid, region_.Append(Slice(encoded), txn->xid(), vid, txn->clock()));
   if (scheme_ == VersionScheme::kSiasChains) {
     map_.Set(vid, tid);
-    txn->AddUndo([this, vid, tid] { map_.CompareAndSet(vid, tid, Tid{}); });
+    txn->AddUndo([this, vid, tid] {
+      map_.CompareAndSet(vid, tid, Tid{});
+      region_.NoteDead(tid.page);
+    });
   } else {
     SIAS_CHECK(map_v_.PushFront(vid, Tid{}, tid));
-    txn->AddUndo([this, vid, tid] { map_v_.PopFrontIf(vid, tid); });
+    txn->AddUndo([this, vid, tid] {
+      map_v_.PopFrontIf(vid, tid);
+      region_.NoteDead(tid.page);
+    });
   }
   {
     MutexLock g(&stats_mu_);
@@ -422,20 +430,27 @@ Result<Tid> SiasTable::AppendAndInstall(Transaction* txn, Vid vid,
   std::string encoded;
   EncodeTuple(header, payload, &encoded);
   txn->MarkWrite();
+  // The append bumps the GC hint of the superseded version's page, and of
+  // its own page when it is a tombstone.
   SIAS_ASSIGN_OR_RETURN(
-      Tid tid, region_.Append(Slice(encoded), txn->xid(), vid, txn->clock()));
+      Tid tid, region_.Append(Slice(encoded), txn->xid(), vid, txn->clock(),
+                              expected_entry.page, header.is_tombstone()));
   if (scheme_ == VersionScheme::kSiasChains) {
     if (!map_.CompareAndSet(vid, expected_entry, tid)) {
       return Status::Internal("entrypoint CAS failed under row lock");
     }
     txn->AddUndo([this, vid, tid, expected_entry] {
       map_.CompareAndSet(vid, tid, expected_entry);
+      region_.NoteDead(tid.page);
     });
   } else {
     if (!map_v_.PushFront(vid, expected_entry, tid)) {
       return Status::Internal("vector push failed under row lock");
     }
-    txn->AddUndo([this, vid, tid] { map_v_.PopFrontIf(vid, tid); });
+    txn->AddUndo([this, vid, tid] {
+      map_v_.PopFrontIf(vid, tid);
+      region_.NoteDead(tid.page);
+    });
   }
   return tid;
 }
@@ -740,6 +755,86 @@ Status SiasTable::LiveVersions(Vid vid, Xid horizon,
   return Status::OK();
 }
 
+std::vector<std::pair<Xid, Xid>> SiasTable::GcSnapshotBounds() const {
+  // Active snapshot bounds for SIAS-V mid-vector reclamation, sampled once
+  // per pass. A transaction starting later sees every version committed by
+  // then, but not one committed after the sampling: a shadow from a
+  // transaction still running then is covered by that transaction's own
+  // pair, and one from a transaction not yet begun by the extra
+  // (first_unsampled, max) pair. Reading the next xid first keeps every
+  // transaction that begins in between inside one of the two.
+  const Xid first_unsampled = env_.txns->NextXid();
+  std::vector<std::pair<Xid, Xid>> bounds = env_.txns->ActiveSnapshotBounds();
+  bounds.emplace_back(first_unsampled, std::numeric_limits<Xid>::max());
+  return bounds;
+}
+
+void SiasTable::InventorySlots(PageGuard* guard, std::vector<SlotInfo>* slots) {
+  guard->LatchShared();
+  SlottedPage page = guard->page();
+  for (uint16_t s = 0; s < page.slot_count(); ++s) {
+    Slice tuple = page.GetTuple(s);
+    if (tuple.empty()) continue;
+    TupleHeader h;
+    if (!DecodeTupleHeader(tuple, &h)) continue;
+    slots->push_back(SlotInfo{s, h.vid});
+  }
+  guard->Unlatch();
+}
+
+Status SiasTable::ClassifyPage(PageNumber p, const std::vector<SlotInfo>& slots,
+                               const std::unordered_set<Vid>& vids,
+                               Xid horizon,
+                               const std::vector<std::pair<Xid, Xid>>& bounds,
+                               VirtualClock* clk, PageClass* out) {
+  for (Vid v : vids) {
+    std::vector<VersionRef> live;
+    bool dead = false;
+    SIAS_RETURN_NOT_OK(LiveVersions(v, horizon, &bounds, clk, &live, &dead));
+    out->live_sets[v] = std::move(live);
+    out->item_dead[v] = dead;
+  }
+  out->live_pos.clear();
+  out->live_on_page = 0;
+  for (const auto& s : slots) {
+    const std::vector<VersionRef>& live = out->live_sets[s.vid];
+    int pos = -1;
+    for (size_t i = 0; i < live.size(); ++i) {
+      if (live[i].tid == Tid{p, s.slot}) {
+        pos = static_cast<int>(i);
+        break;
+      }
+    }
+    out->live_pos.push_back(pos);
+    if (pos >= 0) out->live_on_page++;
+  }
+  return Status::OK();
+}
+
+bool SiasTable::MayDie(const std::vector<VersionRef>& live, size_t i) const {
+  // Only superseding the newest version bumps its page (AppendAndInstall)
+  // and only an abort bumps an aborted one, so a surviving version must be
+  // counted now if it is already superseded, a tombstone, or its creator
+  // may still abort.
+  return i > 0 || live[i].header.is_tombstone() ||
+         env_.txns->clog()->Get(live[i].header.xmin) != TxnStatus::kCommitted;
+}
+
+Result<std::pair<size_t, size_t>> SiasTable::ClassifyPageForTest(
+    PageNumber p, Xid horizon) {
+  auto r = env_.pool->FetchPage(PageId{relation_, p}, nullptr);
+  if (!r.ok()) return r.status();
+  PageGuard guard = std::move(*r);
+  std::vector<SlotInfo> slots;
+  InventorySlots(&guard, &slots);
+  std::unordered_set<Vid> vids;
+  for (const auto& s : slots) vids.insert(s.vid);
+  PageClass pc;
+  SIAS_RETURN_NOT_OK(ClassifyPage(p, slots, vids, horizon, GcSnapshotBounds(),
+                                  nullptr, &pc));
+  return std::make_pair(slots.size(), slots.size() - pc.live_on_page);
+}
+
 Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
                                  GcStats* stats) {
   // §6 Space Reclamation: (i) pick victim pages, (ii) re-insert live
@@ -753,16 +848,7 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
   // receiving appends the inventory below never saw, so the pass skips it.
   const uint64_t sealed_at = region_.SealOpenPage();
   LockManager* locks = env_.txns->locks();
-  // Active snapshot bounds for SIAS-V mid-vector reclamation, sampled once.
-  // A transaction starting later sees every version committed by then, but
-  // not one committed after the sampling: a shadow from a transaction still
-  // running then is covered by that transaction's own pair, and one from a
-  // transaction not yet begun by the extra (first_unsampled, max) pair.
-  // Reading the next xid first keeps every transaction that begins in
-  // between inside one of the two.
-  const Xid first_unsampled = env_.txns->NextXid();
-  std::vector<std::pair<Xid, Xid>> bounds = env_.txns->ActiveSnapshotBounds();
-  bounds.emplace_back(first_unsampled, std::numeric_limits<Xid>::max());
+  const std::vector<std::pair<Xid, Xid>> bounds = GcSnapshotBounds();
 
   for (PageNumber p = 0; p < *count; ++p) {
     if (region_.OpenedSince(p, sealed_at)) continue;  // still filling
@@ -775,29 +861,19 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
     // horizon: re-examining would double-reclaim.
     if (pending) continue;
 
-    // Pass 1: inventory of the page.
-    struct SlotInfo {
-      uint16_t slot;
-      Vid vid;
-    };
+    // Pass 1: inventory of the page. The page is fetched even when its hint
+    // skips it: the hint saves the classification walks, not the visit.
     std::vector<SlotInfo> slots;
     {
       auto r = env_.pool->FetchPage(PageId{relation_, p}, clk);
       if (!r.ok()) return r.status();
-      PageGuard guard = std::move(*r);
-      guard.LatchShared();
-      SlottedPage page = guard.page();
-      for (uint16_t s = 0; s < page.slot_count(); ++s) {
-        Slice tuple = page.GetTuple(s);
-        if (tuple.empty()) continue;
-        TupleHeader h;
-        if (!DecodeTupleHeader(tuple, &h)) continue;
-        slots.push_back(SlotInfo{s, h.vid});
-      }
-      guard.Unlatch();
+      if (stats != nullptr) stats->pages_examined++;
+      Obs().gc_pages_examined->Increment();
+      // Too few possibly dead versions to reach the relocate threshold
+      // below: no need to classify.
+      if (!region_.MayNeedGc(p)) continue;
+      InventorySlots(&*r, &slots);
     }
-    if (stats != nullptr) stats->pages_examined++;
-    Obs().gc_pages_examined->Increment();
     if (slots.empty()) continue;
     // Recycled from the free list and filled while it was inventoried.
     // Otherwise it is sealed for the rest of the pass: only an empty,
@@ -827,43 +903,39 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
     }
 
     // Pass 2: classify versions via per-item live sets.
-    std::unordered_map<Vid, std::vector<VersionRef>> live_sets;
-    std::unordered_map<Vid, bool> item_dead;
-    Status ls_status = Status::OK();
-    for (Vid v : vids) {
-      std::vector<VersionRef> live;
-      bool dead = false;
-      ls_status = LiveVersions(v, horizon, &bounds, clk, &live, &dead);
-      if (!ls_status.ok()) break;
-      live_sets[v] = std::move(live);
-      item_dead[v] = dead;
-    }
-    if (!ls_status.ok()) {
+    if (stats != nullptr) stats->pages_classified++;
+    Obs().gc_pages_classified->Increment();
+    PageClass pc;
+    Status cs = ClassifyPage(p, slots, vids, horizon, bounds, clk, &pc);
+    if (!cs.ok()) {
       unlock_all();
-      return ls_status;
+      return cs;
     }
+    auto& live_sets = pc.live_sets;
+    auto& item_dead = pc.item_dead;
+    const size_t live_on_page = pc.live_on_page;
 
-    auto is_live_here = [&](Vid v, Tid tid) {
-      for (const auto& ref : live_sets[v]) {
-        if (ref.tid == tid) return true;
+    // Policy: reclaim the whole page once its live share is small enough to
+    // be worth relocating; leave every other page as it is. Dead slots are
+    // never killed in place: that dirties a sealed page — an 8 KB device
+    // rewrite at the next flush — yet frees no appendable space, and on a
+    // tight device those rewrites alone raised SIAS-V's write amplification
+    // above SI's. Their map entries stay until the page is reclaimed.
+    const bool relocate = WorthRelocating(live_on_page, slots.size());
+    if (!relocate) {
+      // Re-derive the hint exactly while the item locks keep every
+      // supersede of this page's versions out: every slot stays, and those
+      // that are dead or can still die count toward the bound.
+      PageGcHint hint;
+      hint.tuples = static_cast<uint32_t>(slots.size());
+      for (size_t k = 0; k < slots.size(); ++k) {
+        const int pos = pc.live_pos[k];
+        if (pos < 0 || MayDie(live_sets[slots[k].vid], pos)) {
+          hint.dead_bound++;
+        }
       }
-      return false;
-    };
-    size_t live_on_page = 0;
-    for (const auto& s : slots) {
-      if (is_live_here(s.vid, Tid{p, s.slot})) live_on_page++;
-    }
-
-    // Policy: reclaim the whole page when its live share is small enough to
-    // be worth relocating. Prune dead slots in place only when the page is
-    // already mostly dead (trending toward reclamation): pruning dirties a
-    // sealed page — an 8 KB device rewrite at the next flush — yet frees no
-    // appendable space, so touching mostly-live pages every vacuum cycle
-    // would multiply the write volume GC is supposed to save.
-    bool relocate = live_on_page * 4 <= slots.size();
-    bool prune = live_on_page * 2 <= slots.size();
-
-    if (relocate) {
+      region_.SetGcHint(p, hint);
+    } else {
       // Re-insert live versions (oldest-first per chain so predecessor
       // pointers can be remapped) and fix their successors.
       std::unordered_map<uint64_t, Tid> remap;  // old tid.Pack() -> new tid
@@ -885,7 +957,9 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
           }
           std::string encoded;
           EncodeTuple(h, Slice(payload), &encoded);
-          auto nr = region_.Append(Slice(encoded), h.xmin, v, clk);
+          const size_t idx = static_cast<size_t>(live.rend() - it) - 1;
+          auto nr = region_.Append(Slice(encoded), h.xmin, v, clk,
+                                   kInvalidPageNumber, MayDie(live, idx));
           if (!nr.ok()) {
             unlock_all();
             return nr.status();
@@ -981,6 +1055,7 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
         bool inserted = gc_pending_.insert(p).second;
         SIAS_CHECK(inserted);
       }
+      region_.ForgetGcHint(p);
       if (stats != nullptr) {
         stats->versions_discarded += slots.size() - live_on_page;
         stats->pages_reclaimed++;
@@ -1026,63 +1101,6 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
         // erase above lets the next GC cycle retry it (its map references
         // are gone, so it classifies as fully dead again).
       });
-    } else if (prune) {
-      // Prune dead slots: unpublish from the maps now; defer the physical
-      // slot kills behind the epoch horizon (a pinned reader holding a
-      // stale vector copy may still dereference them). The page stays
-      // GC-skippable via gc_pending_ until the kills land. Pass-1 slots
-      // are all occupied and nothing empties a sealed, item-locked,
-      // non-pending page in between.
-      std::vector<uint16_t> dead_slots;
-      for (const auto& s : slots) {
-        if (is_live_here(s.vid, Tid{p, s.slot})) continue;
-        dead_slots.push_back(s.slot);
-        if (stats != nullptr) stats->versions_discarded++;
-        Obs().gc_versions_discarded->Increment();
-        if (scheme_ == VersionScheme::kSiasChains && item_dead[s.vid]) {
-          // Whole item dead (tombstone below horizon): if this slot is the
-          // entrypoint being pruned, drop the mapping with it.
-          Tid cur = map_.Get(s.vid);
-          if (cur == Tid{p, s.slot}) map_.Clear(s.vid);
-        }
-        if (scheme_ == VersionScheme::kSiasV) {
-          if (item_dead[s.vid]) {
-            // Whole item dead: unpublish every version, as the relocate
-            // path does, so no older version outlives the pruned tombstone.
-            map_v_.Clear(s.vid);
-          } else {
-            // Keep the vector in sync.
-            std::vector<Tid> vec = map_v_.Get(s.vid);
-            std::vector<Tid> kept;
-            for (Tid t : vec) {
-              if (t != Tid{p, s.slot}) kept.push_back(t);
-            }
-            map_v_.Set(s.vid, std::move(kept));
-          }
-        }
-      }
-      if (!dead_slots.empty()) {
-        {
-          MutexLock g(&stats_mu_);
-          bool inserted = gc_pending_.insert(p).second;
-          SIAS_CHECK(inserted);
-        }
-        EpochManager::Global().Retire([this, p, dead_slots] {
-          auto r = env_.pool->FetchPage(PageId{relation_, p}, nullptr);
-          if (r.ok()) {
-            PageGuard guard = std::move(*r);
-            guard.LatchExclusive();
-            SlottedPage page = guard.page();
-            for (uint16_t s : dead_slots) {
-              if (!page.GetTuple(s).empty()) (void)page.DeleteTuple(s);
-            }
-            guard.MarkDirty();
-            guard.Release();
-          }
-          MutexLock g(&stats_mu_);
-          gc_pending_.erase(p);
-        });
-      }
     }
     unlock_all();
   }

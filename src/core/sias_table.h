@@ -101,6 +101,12 @@ class SiasTable : public MvccTable {
   /// (tests / invariant checks). Runs over the latch-free read path.
   Result<std::vector<Tid>> ChainOf(Vid vid, VirtualClock* clk);
 
+  /// Test-only: a full GC classification of `page` under `horizon` now,
+  /// ignoring its hint: (occupied slots, versions GC would discard).
+  /// Requires no concurrent writer or vacuum.
+  Result<std::pair<size_t, size_t>> ClassifyPageForTest(PageNumber page,
+                                                       Xid horizon);
+
   /// Test-only schedule control: when set, the hook is invoked on the read
   /// path *after* the entrypoint / version vector has been loaded but
   /// *before* any version is dereferenced — the window the epoch protocol
@@ -175,6 +181,39 @@ class SiasTable : public MvccTable {
                       VirtualClock* clk, std::vector<VersionRef>* live,
                       bool* whole_item_dead);
 
+  /// GC inventory entry: an occupied slot and the item it holds.
+  struct SlotInfo {
+    uint16_t slot;
+    Vid vid;
+  };
+  /// GC classification of one page's occupied slots.
+  struct PageClass {
+    std::unordered_map<Vid, std::vector<VersionRef>> live_sets;
+    std::unordered_map<Vid, bool> item_dead;
+    /// Per inventory slot: its version's index in the item's live set, or
+    /// -1 when the version is dead.
+    std::vector<int> live_pos;
+    size_t live_on_page = 0;
+  };
+
+  /// Active snapshot bounds for one GC pass (see LiveVersions).
+  std::vector<std::pair<Xid, Xid>> GcSnapshotBounds() const;
+
+  /// Appends the occupied slots of the page in `guard` to `slots`.
+  static void InventorySlots(PageGuard* guard, std::vector<SlotInfo>* slots);
+
+  /// Computes the live set of every item in `vids` (the items of `slots`)
+  /// and where each slot's version sits in it. Callers hold the items'
+  /// locks, or run alone.
+  Status ClassifyPage(PageNumber p, const std::vector<SlotInfo>& slots,
+                      const std::unordered_set<Vid>& vids, Xid horizon,
+                      const std::vector<std::pair<Xid, Xid>>& bounds,
+                      VirtualClock* clk, PageClass* out);
+
+  /// True if the version at index `i` of its item's live set can become
+  /// dead without a further bump of its page's GC hint.
+  bool MayDie(const std::vector<VersionRef>& live, size_t i) const;
+
   RelationId relation_;
   TableEnv env_;
   VersionScheme scheme_;
@@ -190,7 +229,7 @@ class SiasTable : public MvccTable {
   /// into TableStats by stats().
   std::atomic<uint64_t> reads_{0};
   std::atomic<uint64_t> read_version_hops_{0};
-  /// Pages whose physical wipe / slot prune is queued behind the epoch
+  /// Pages whose physical wipe is queued behind the epoch
   /// horizon. Skipped by GC page selection (they are already logically
   /// empty — re-examining would double-reclaim) and recycled into the
   /// append region only by the deferred callback itself.

@@ -175,7 +175,7 @@ void VidMapV::Set(Vid vid, std::vector<Tid> versions) {
   const VersionVector* cur = slot->load(std::memory_order_seq_cst);
   const VersionVector* next =
       versions.empty() ? nullptr : new VersionVector(std::move(versions));
-  // Recovery and GC-prune rebuilds are serialized per VID; Install cannot
+  // Recovery and GC rebuilds are serialized per VID; Install cannot
   // fail against a concurrent mutator, only assert that it did not.
   bool ok = Install(slot, cur, next);
   SIAS_CHECK(ok);

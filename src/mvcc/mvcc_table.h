@@ -36,7 +36,11 @@ struct TableStats {
 
 /// Garbage-collection result counters.
 struct GcStats {
+  /// Pages visited.
   uint64_t pages_examined = 0;
+  /// SIAS pages whose items were locked and walked; a page whose hint shows
+  /// too little possible garbage is visited but not classified.
+  uint64_t pages_classified = 0;
   uint64_t pages_reclaimed = 0;
   uint64_t versions_discarded = 0;
   uint64_t versions_relocated = 0;

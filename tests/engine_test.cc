@@ -365,6 +365,64 @@ INSTANTIATE_TEST_SUITE_P(AllSchemes, EngineTest,
                                            VersionScheme::kSiasV),
                          SchemeTestName);
 
+// --- Vacuum's garbage hints start empty after a restart -----------------
+
+class GcHintRecoveryTest : public EngineTest {};
+
+// The per-page hints live in memory only, so after recovery vacuum must
+// classify every page written before the crash (and reclaim the garbage on
+// them); its exact re-derivation then lets the next pass skip the
+// mostly-live pages.
+TEST_P(GcHintRecoveryTest, FirstVacuumAfterRecoveryClassifiesEveryPage) {
+  std::vector<Vid> vids;
+  for (int i = 0; i < 200; ++i) {
+    vids.push_back(InsertAccount(i, "owner" + std::to_string(i), 1.0));
+  }
+  // The first hundred accounts churn: their original pages and the pages
+  // of their intermediate versions end up all garbage.
+  for (int round = 1; round <= 3; ++round) {
+    for (int i = 0; i < 100; ++i) {
+      auto txn = db_->Begin(&clk_);
+      ASSERT_TRUE(accounts_
+                      ->Update(txn.get(), vids[i],
+                               Account(i, "owner" + std::to_string(i), round))
+                      .ok());
+      ASSERT_TRUE(db_->Commit(txn.get()).ok());
+    }
+  }
+  ASSERT_TRUE(db_->Checkpoint(&clk_).ok());
+  db_.reset();
+  Reopen();
+  ASSERT_TRUE(db_->Recover().ok());
+
+  GcStats first;
+  ASSERT_TRUE(db_->Vacuum(&clk_, &first).ok());
+  EXPECT_GT(first.pages_examined, 0u);
+  EXPECT_EQ(first.pages_classified, first.pages_examined);
+  EXPECT_GT(first.pages_reclaimed, 0u);
+  EXPECT_GE(first.versions_discarded, 200u);
+
+  GcStats second;
+  ASSERT_TRUE(db_->Vacuum(&clk_, &second).ok());
+  EXPECT_GE(second.pages_examined, first.pages_examined);
+  EXPECT_EQ(second.pages_classified, 0u);
+  EXPECT_EQ(second.pages_reclaimed, 0u);
+
+  auto txn = db_->Begin(&clk_);
+  for (int i = 0; i < 200; ++i) {
+    auto hits = accounts_->IndexLookup(txn.get(), 0, IntKey(i));
+    ASSERT_TRUE(hits.ok());
+    ASSERT_EQ(hits->size(), 1u) << "id " << i;
+    EXPECT_DOUBLE_EQ(hits->at(0).second.GetDouble(2), i < 100 ? 3.0 : 1.0);
+  }
+  ASSERT_TRUE(db_->Commit(txn.get()).ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(SiasSchemes, GcHintRecoveryTest,
+                         ::testing::Values(VersionScheme::kSiasChains,
+                                           VersionScheme::kSiasV),
+                         SchemeTestName);
+
 // --- Read-only transactions commit and abort without the log ------------
 
 int64_t CounterValue(const char* name) {

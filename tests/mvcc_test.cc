@@ -6,7 +6,9 @@
 
 #include <string>
 #include <thread>
+#include <unordered_map>
 
+#include "common/random.h"
 #include "mvcc/visibility.h"
 #include "obs/metrics.h"
 #include "tests/test_env.h"
@@ -927,6 +929,251 @@ TEST_P(ReadLatchCounterTest, BatchedReadsCountProbeMisses) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Vacuum's per-page garbage hint. After every pass, each hinted page's tuple
+// count must equal its occupied slots, and its dead bound must cover every
+// version a full classification would discard now; otherwise a page the
+// hint lets vacuum skip could hide a relocation. The seeded history mixes
+// inserts, updates, deletes and aborted writes under a long-lived
+// snapshot, so relocations and (SIAS-V) mid-vector reclamation happen.
+// ---------------------------------------------------------------------------
+
+class GcHintTest : public ::testing::TestWithParam<VersionScheme> {
+ protected:
+  void SetUp() override {
+    owned_ = env_.MakeTable(GetParam(), /*relation=*/1);
+    table_ = static_cast<SiasTable*>(owned_.get());
+  }
+
+  /// Occupied slots of every page, in page order.
+  std::vector<size_t> Occupied() {
+    std::vector<size_t> out;
+    auto pages = env_.disk_.PageCount(1);
+    EXPECT_TRUE(pages.ok());
+    for (PageNumber p = 0; p < *pages; ++p) {
+      auto c = table_->ClassifyPageForTest(p, env_.txns_.GcHorizon());
+      EXPECT_TRUE(c.ok());
+      out.push_back(c->first);
+    }
+    return out;
+  }
+
+  /// Checks every hinted page against a full classification now.
+  void ExpectSoundHints(int pass) {
+    const Xid horizon = env_.txns_.GcHorizon();
+    auto pages = env_.disk_.PageCount(1);
+    ASSERT_TRUE(pages.ok());
+    for (PageNumber p = 0; p < *pages; ++p) {
+      auto hint = table_->region().GcHintForTest(p);
+      if (!hint.has_value()) continue;
+      auto c = table_->ClassifyPageForTest(p, horizon);
+      ASSERT_TRUE(c.ok());
+      const auto [occupied, dead] = *c;
+      ASSERT_EQ(hint->tuples, occupied) << "page " << p << ", pass " << pass;
+      ASSERT_GE(hint->dead_bound, dead) << "page " << p << ", pass " << pass;
+    }
+  }
+
+  Status Vacuum(GcStats* gc) {
+    return table_->GarbageCollect(env_.txns_.GcHorizon(), &clk_, gc);
+  }
+
+  TestEnv env_;
+  std::unique_ptr<MvccTable> owned_;
+  SiasTable* table_ = nullptr;
+  VirtualClock clk_;
+};
+
+TEST_P(GcHintTest, HintCountsTuplesAndBoundsDeadVersions) {
+  Random rng(20260611);
+  // Live items and their last committed value.
+  std::vector<Vid> items;
+  std::unordered_map<Vid, std::string> value;
+  // Per live item: versions its vector must keep while `old` holds the
+  // horizon back, unless mid-vector reclamation drops the middle ones (the
+  // version `old` sees, or the insert, plus one per later update).
+  std::unordered_map<Vid, size_t> unshadowed;
+  std::unique_ptr<Transaction> old;
+  GcStats total;
+  bool mid_vector = false;
+
+  for (int pass = 0; pass < 40; ++pass) {
+    for (int op = 0; op < 120; ++op) {
+      auto t = env_.txns_.Begin(&clk_);
+      const uint64_t dice = rng.Uniform(0, 99);
+      const bool abort = dice >= 90;
+      std::string row = Numbered(std::string(120, 'r'), pass * 1000 + op);
+      if (items.size() < 60 || dice < 12 || (dice >= 90 && dice < 94)) {
+        auto vid = table_->Insert(t.get(), Slice(row));
+        ASSERT_TRUE(vid.ok());
+        if (!abort) {
+          items.push_back(*vid);
+          value[*vid] = row;
+          unshadowed[*vid] = 1;
+        }
+      } else {
+        const size_t i = rng.Uniform(0, items.size() - 1);
+        const Vid v = items[i];
+        if (dice < 20 || dice >= 97) {
+          ASSERT_TRUE(table_->Delete(t.get(), v).ok());
+          if (!abort) {
+            items[i] = items.back();
+            items.pop_back();
+            value.erase(v);
+            unshadowed.erase(v);
+          }
+        } else {
+          ASSERT_TRUE(table_->Update(t.get(), v, Slice(row)).ok());
+          if (!abort) {
+            value[v] = row;
+            unshadowed[v]++;
+          }
+        }
+      }
+      ASSERT_TRUE((abort ? env_.txns_.Abort(t.get())
+                         : env_.txns_.Commit(t.get()))
+                      .ok());
+    }
+    if (pass % 6 == 0) {
+      if (old != nullptr) {
+        ASSERT_TRUE(env_.txns_.Commit(old.get()).ok());
+      }
+      old = env_.txns_.Begin(&clk_);
+      for (auto& [v, n] : unshadowed) n = 1;
+    }
+
+    GcStats gc;
+    ASSERT_TRUE(Vacuum(&gc).ok());
+    total.pages_examined += gc.pages_examined;
+    total.pages_classified += gc.pages_classified;
+    total.pages_reclaimed += gc.pages_reclaimed;
+    total.versions_relocated += gc.versions_relocated;
+    ExpectSoundHints(pass);
+    if (HasFatalFailure()) return;
+    if (GetParam() == VersionScheme::kSiasV) {
+      for (const auto& [v, n] : unshadowed) {
+        auto chain = table_->ChainOf(v, &clk_);
+        ASSERT_TRUE(chain.ok());
+        if (chain->size() < n) mid_vector = true;
+      }
+    }
+  }
+  if (old != nullptr) {
+    ASSERT_TRUE(env_.txns_.Commit(old.get()).ok());
+  }
+
+  EXPECT_GT(total.pages_reclaimed, 0u);
+  EXPECT_GT(total.versions_relocated, 0u);
+  if (GetParam() == VersionScheme::kSiasV) {
+    EXPECT_TRUE(mid_vector);
+  }
+  // The hint skipped pages, and vacuum still classified some.
+  EXPECT_GT(total.pages_classified, 0u);
+  EXPECT_LT(total.pages_classified, total.pages_examined);
+
+  auto t = env_.txns_.Begin(&clk_);
+  for (const auto& [v, row] : value) {
+    auto r = table_->Read(t.get(), v);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r->value_or("<none>"), row) << "vid " << v;
+  }
+  ASSERT_TRUE(env_.txns_.Commit(t.get()).ok());
+}
+
+// Relocation moves live versions to a fresh page. Those already superseded
+// (kept for an old snapshot) and those whose creator is still running must
+// count on their new page: nothing bumps it when they die later.
+TEST_P(GcHintTest, RelocatedVersionsKeepTheirBound) {
+  const std::string row(60, 'r');
+  auto insert_committed = [&] {
+    auto t = env_.txns_.Begin(&clk_);
+    auto vid = table_->Insert(t.get(), Slice(row));
+    EXPECT_TRUE(vid.ok());
+    EXPECT_TRUE(env_.txns_.Commit(t.get()).ok());
+    return *vid;
+  };
+  auto update_committed = [&](Vid v) {
+    auto t = env_.txns_.Begin(&clk_);
+    ASSERT_TRUE(table_->Update(t.get(), v, Slice(row)).ok());
+    ASSERT_TRUE(env_.txns_.Commit(t.get()).ok());
+  };
+  // Page 0: 10 items updated after the old snapshot begins, 45 aborted
+  // inserts, and one insert still in flight.
+  std::vector<Vid> kept;
+  for (int i = 0; i < 10; ++i) kept.push_back(insert_committed());
+  for (int i = 0; i < 45; ++i) {
+    auto t = env_.txns_.Begin(&clk_);
+    ASSERT_TRUE(table_->Insert(t.get(), Slice(row)).ok());
+    ASSERT_TRUE(env_.txns_.Abort(t.get()).ok());
+  }
+  auto writer = env_.txns_.Begin(&clk_);
+  ASSERT_TRUE(table_->Insert(writer.get(), Slice(row)).ok());
+  ASSERT_EQ(Occupied(), std::vector<size_t>{56});
+  table_->region().SealOpenPage();
+  auto old = env_.txns_.Begin(&clk_);
+  for (Vid v : kept) update_committed(v);
+
+  // Page 0 is over three quarters dead: its 10 superseded versions that
+  // `old` still sees and the in-flight insert move to a fresh page.
+  GcStats gc;
+  ASSERT_TRUE(Vacuum(&gc).ok());
+  ASSERT_EQ(gc.pages_reclaimed, 1u);
+  ASSERT_EQ(gc.versions_relocated, 11u);
+  ExpectSoundHints(1);
+  // Live rows fill the fresh page, so the next pass will skip it; then the
+  // relocated versions die without a bump of that page.
+  for (int i = 0; i < 30; ++i) insert_committed();
+  ASSERT_TRUE(env_.txns_.Abort(writer.get()).ok());
+  ASSERT_TRUE(env_.txns_.Commit(old.get()).ok());
+  ASSERT_TRUE(Vacuum(&gc).ok());
+  ExpectSoundHints(2);
+}
+
+// A page vacuum classifies but does not reclaim stays as it is on the
+// device: killing its dead slots in place would rewrite a sealed page and
+// free no appendable space.
+TEST_P(GcHintTest, VacuumNeverRewritesAPageItKeeps) {
+  const std::string row(60, 'r');
+  std::vector<Vid> items;
+  for (int i = 0; i < 40; ++i) {
+    auto t = env_.txns_.Begin(&clk_);
+    auto vid = table_->Insert(t.get(), Slice(row));
+    ASSERT_TRUE(vid.ok());
+    items.push_back(*vid);
+    ASSERT_TRUE(env_.txns_.Commit(t.get()).ok());
+  }
+  ASSERT_EQ(Occupied(), std::vector<size_t>{40});
+  table_->region().SealOpenPage();
+  auto update = [&](Vid v) {
+    auto t = env_.txns_.Begin(&clk_);
+    ASSERT_TRUE(table_->Update(t.get(), v, Slice(row)).ok());
+    ASSERT_TRUE(env_.txns_.Commit(t.get()).ok());
+  };
+  // 24 versions die now and 8 stay visible to `old`: 16 of page 0's 40
+  // versions are live, too many to relocate, and the 32 bumps make the
+  // hint ask for a classification.
+  for (int i = 0; i < 24; ++i) update(items[i]);
+  auto old = env_.txns_.Begin(&clk_);
+  for (int i = 24; i < 32; ++i) update(items[i]);
+  ASSERT_TRUE(env_.pool_.FlushAll(&clk_).ok());
+
+  GcStats gc;
+  ASSERT_TRUE(Vacuum(&gc).ok());
+  EXPECT_GE(gc.pages_classified, 1u);
+  EXPECT_EQ(gc.pages_reclaimed, 0u);
+  EXPECT_EQ(gc.versions_discarded, 0u);
+  EXPECT_EQ(Occupied()[0], 40u);
+  for (const PageId& id : env_.pool_.DirtyPages()) {
+    EXPECT_FALSE(id.relation == 1 && id.page == 0) << "page 0 was rewritten";
+  }
+  ExpectSoundHints(1);
+  ASSERT_TRUE(env_.txns_.Commit(old.get()).ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(SiasSchemes, GcHintTest,
+                         ::testing::Values(VersionScheme::kSiasChains,
+                                           VersionScheme::kSiasV),
+                         SchemeName);
 INSTANTIATE_TEST_SUITE_P(SiasSchemes, ReadPathGoldenTest,
                          ::testing::Values(VersionScheme::kSiasChains,
                                            VersionScheme::kSiasV),
