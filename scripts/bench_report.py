@@ -108,6 +108,12 @@ def res(exp: Experiment, key: str) -> float | None:
     return as_num(exp.get("results", {}).get(key))
 
 
+def tpcc_errors(exp: Experiment) -> float:
+    """TPC-C transactions the leg's run failed (say, on a full device). A
+    leg with any did not complete: its figures are shown, but marked."""
+    return res(exp, "tpcc_errors") or 0.0
+
+
 def hist_of(exp: Experiment, name: str) -> dict[str, Any] | None:
     h = exp.get("metrics", {}).get("histograms", {}).get(name)
     return h if isinstance(h, dict) else None
@@ -137,9 +143,15 @@ def report_write_reduction(name: str, exps: ExpMap) -> list[str]:
         int(k[len("written_mb_window"):])
         for k in si["results"] if k.startswith("written_mb_window"))
     labels = sorted(exps)
+    incomplete = [l for l in labels if tpcc_errors(exps[l])]
+
+    def leg(l: str) -> str:
+        name = l.split('.', 1)[1]
+        return f"{name} (incomplete)" if l in incomplete else name
+
     header = "| window (vsec) | " + " | ".join(
-        f"{l.split('.', 1)[1]} (MB)" for l in labels) + " | " + " | ".join(
-        f"red {l.split('.', 1)[1]} (%)" for l in labels
+        f"{leg(l)} (MB)" for l in labels) + " | " + " | ".join(
+        f"red {leg(l)} (%)" for l in labels
         if exps[l] is not si) + " |"
     sep = "|" + "---|" * (1 + len(labels) + len(labels) - 1)
     out += [header, sep]
@@ -162,11 +174,20 @@ def report_write_reduction(name: str, exps: ExpMap) -> list[str]:
     for l in labels:
         d = exps[l].get("device", {})
         t = d.get("telemetry", {})
+        mark = " (incomplete)" if l in incomplete else ""
         out.append(
-            f"| {l} | {fmt(wa_of(exps[l]), 3)} | {d.get('gc_page_moves', 0)}"
+            f"| {l}{mark} | {fmt(wa_of(exps[l]), 3)} |"
+            f" {d.get('gc_page_moves', 0)}"
             f" | {d.get('flash_block_erases', 0)} |"
             f" {t.get('erase_p90', 0)} | {d.get('trim_ops', 0)} |")
     out.append("")
+    if incomplete:
+        legs = ", ".join(
+            f"{l} ({tpcc_errors(exps[l]):.0f} TPC-C errors)"
+            for l in incomplete)
+        out += [f"_Incomplete: {legs}. Their runs failed transactions (a "
+                "full device, say), so their figures do not compare with "
+                "the other legs'._", ""]
     return out
 
 

@@ -246,6 +246,7 @@ Status BufferPool::WriteFrame(size_t idx, VirtualClock* clk,
                         f.lsn.load(std::memory_order_relaxed));
   }
   if (s.ok()) {
+    last_write_[f.id] = ++writes_;
     state_[idx].dirty.store(false, std::memory_order_release);
     stats_.dirty_writebacks++;
     stats_.flushes_by_source[static_cast<int>(source)]++;
@@ -354,26 +355,28 @@ Result<BufferPool::AsyncFetch> BufferPool::StartFetch(PageId id,
     // fetch while the device read below runs outside mu_; it becomes the
     // guard pin once FinishFetch installs the page.
     frames_[out.frame].pins.fetch_add(1, std::memory_order_acq_rel);
+    out.writes_at_submit = writes_;
   }
-  Frame& f = frames_[out.frame];
-  auto offset = disk_->PageOffset(id.relation, id.page);
-  if (!offset.ok()) {
-    Unpin(out.frame);  // frame returns to the victim pool (!valid)
-    return offset.status();
-  }
-  IoRequest req;
-  req.op = IoOp::kRead;
-  req.offset = *offset;
-  req.len = kPageSize;
-  req.out = f.data.get();
-  auto h = disk_->device()->Submit(req, clk != nullptr ? clk->now() : 0);
+  auto h = SubmitRead(id, out.frame, clk);
   if (!h.ok()) {
-    Unpin(out.frame);
+    Unpin(out.frame);  // frame returns to the victim pool (!valid)
     return h.status();
   }
   out.valid = true;
   out.io = *h;
   return out;
+}
+
+Result<IoHandle> BufferPool::SubmitRead(PageId id, size_t frame,
+                                        VirtualClock* clk) {
+  auto offset = disk_->PageOffset(id.relation, id.page);
+  if (!offset.ok()) return offset.status();
+  IoRequest req;
+  req.op = IoOp::kRead;
+  req.offset = *offset;
+  req.len = kPageSize;
+  req.out = frames_[frame].data.get();
+  return disk_->device()->Submit(req, clk != nullptr ? clk->now() : 0);
 }
 
 Result<PageGuard> BufferPool::FinishFetch(AsyncFetch* fetch,
@@ -384,63 +387,74 @@ Result<PageGuard> BufferPool::FinishFetch(AsyncFetch* fetch,
   const PageId id = fetch->id;
   Frame& f = frames_[fetch->frame];
   StorageDevice* dev = disk_->device();
-  Status st;
-  {
-    // The async read's completion wait is the issuing transaction's io_wait
-    // phase (the Submit in StartFetch costs no virtual time).
-    obs::SpanScope io_span(obs::SpanPhase::kIoWait, "pool", "fetch_wait",
-                           id.page);
-    // Completion-driven retry: the first attempt's status comes from the
-    // async completion; each retry RESUBMITS at the post-backoff instant so
-    // the channel calendar is re-reserved (never completing "in the past").
-    Status first = dev->Wait(fetch->io, clk);
-    st = fault::RetryTransientAfterFailure(
-        "page read", clk, std::move(first), [&]() -> Status {
-          auto offset = disk_->PageOffset(id.relation, id.page);
-          if (!offset.ok()) return offset.status();
-          IoRequest req;
-          req.op = IoOp::kRead;
-          req.offset = *offset;
-          req.len = kPageSize;
-          req.out = f.data.get();
-          auto h = dev->Submit(req, clk != nullptr ? clk->now() : 0);
-          if (!h.ok()) return h.status();
-          return dev->Wait(*h, clk);
-        });
+  for (;;) {
+    Status st;
+    {
+      // The async read's completion wait is the issuing transaction's
+      // io_wait phase (the Submit in StartFetch costs no virtual time).
+      obs::SpanScope io_span(obs::SpanPhase::kIoWait, "pool", "fetch_wait",
+                             id.page);
+      // Completion-driven retry: the first attempt's status comes from the
+      // async completion; each retry RESUBMITS at the post-backoff instant
+      // so the channel calendar is re-reserved (never completing "in the
+      // past").
+      Status first = dev->Wait(fetch->io, clk);
+      st = fault::RetryTransientAfterFailure(
+          "page read", clk, std::move(first), [&]() -> Status {
+            SIAS_ASSIGN_OR_RETURN(IoHandle h,
+                                  SubmitRead(id, fetch->frame, clk));
+            return dev->Wait(h, clk);
+          });
+    }
+    if (!st.ok()) {
+      Unpin(fetch->frame);
+      return st;
+    }
+    SlottedPage sp(f.data.get());
+    if (!sp.VerifyChecksum()) {
+      Unpin(fetch->frame);
+      return Status::Corruption("page checksum mismatch " + id.ToString());
+    }
+    {
+      MutexLock lock(&mu_);
+      auto it = table_.find(id);
+      if (it != table_.end()) {
+        // A racing fetch installed the page while our read was in flight:
+        // pin the winner; our private frame stays !valid/odd for the next
+        // victim scan.
+        frames_[it->second].pins.fetch_add(1, std::memory_order_acquire);
+        state_[it->second].Reference();
+        Unpin(fetch->frame);
+        return PageGuard(this, it->second, id);
+      }
+      auto written = last_write_.find(id);
+      if (written == last_write_.end() ||
+          written->second <= fetch->writes_at_submit) {
+        FrameState& fs = state_[fetch->frame];
+        f.id = id;
+        fs.valid = true;
+        fs.dirty.store(false, std::memory_order_relaxed);
+        fs.sticky = false;
+        fs.referenced.store(true, std::memory_order_relaxed);
+        f.lsn.store(sp.header()->lsn, std::memory_order_relaxed);
+        // The claim pin taken in StartFetch becomes the guard pin (no extra
+        // pin here); lock-free readers cannot have pinned the frame
+        // meanwhile — its tag was kNoTag until PublishFrame below.
+        table_[id] = fetch->frame;
+        PublishFrame(fetch->frame, id);
+        return PageGuard(this, fetch->frame, id);
+      }
+      // Written back after our read was submitted, so the image may predate
+      // a change (see last_write_): read the page again.
+      fetch->writes_at_submit = writes_;
+    }
+    auto h = SubmitRead(id, fetch->frame, clk);
+    if (!h.ok()) {
+      Unpin(fetch->frame);
+      return h.status();
+    }
+    fetch->io = *h;
   }
-  if (!st.ok()) {
-    Unpin(fetch->frame);
-    return st;
-  }
-  SlottedPage sp(f.data.get());
-  if (!sp.VerifyChecksum()) {
-    Unpin(fetch->frame);
-    return Status::Corruption("page checksum mismatch " + id.ToString());
-  }
-  MutexLock lock(&mu_);
-  auto it = table_.find(id);
-  if (it != table_.end()) {
-    // A racing fetch installed the page while our read was in flight: pin
-    // the winner; our private frame stays !valid/odd for the next victim
-    // scan.
-    frames_[it->second].pins.fetch_add(1, std::memory_order_acquire);
-    state_[it->second].Reference();
-    Unpin(fetch->frame);
-    return PageGuard(this, it->second, id);
-  }
-  FrameState& fs = state_[fetch->frame];
-  f.id = id;
-  fs.valid = true;
-  fs.dirty.store(false, std::memory_order_relaxed);
-  fs.sticky = false;
-  fs.referenced.store(true, std::memory_order_relaxed);
-  f.lsn.store(sp.header()->lsn, std::memory_order_relaxed);
-  // The claim pin taken in StartFetch becomes the guard pin (no extra pin
-  // here); lock-free readers cannot have pinned the frame meanwhile — its
-  // tag was kNoTag until PublishFrame below.
-  table_[id] = fetch->frame;
-  PublishFrame(fetch->frame, id);
-  return PageGuard(this, fetch->frame, id);
 }
 
 void BufferPool::AbandonFetch(AsyncFetch* fetch) {

@@ -139,6 +139,9 @@ class BufferPool {
     PageId id{};
     size_t frame = 0;    ///< private victim frame index when !resident
     IoHandle io{};       ///< in-flight device read when !resident
+    /// The pool's writeback count when the read was submitted (see
+    /// last_write_).
+    uint64_t writes_at_submit = 0;
   };
 
   /// Begins fetching `id`: on a hit returns a resident AsyncFetch (pinned,
@@ -286,6 +289,8 @@ class BufferPool {
   Status WriteFrame(size_t idx, VirtualClock* clk, FlushSource source,
                     bool* busy = nullptr) SIAS_REQUIRES(mu_);
   void Unpin(size_t frame);
+  /// Submits a device read of page `id` into frame `frame`.
+  Result<IoHandle> SubmitRead(PageId id, size_t frame, VirtualClock* clk);
 
   static uint64_t PackTag(PageId id) {
     return (static_cast<uint64_t>(id.relation) << 32) | id.page;
@@ -311,6 +316,13 @@ class BufferPool {
   std::vector<std::atomic<uint32_t>> index_;
   size_t index_mask_ = 0;
   size_t clock_hand_ SIAS_GUARDED_BY(mu_) = 0;
+  /// Completed writebacks, and per page the count just after its latest
+  /// one. A page read submitted before that write may predate it: another
+  /// fetch installed the page meanwhile, a writer changed it and eviction
+  /// wrote it out. FinishFetch re-reads such an image instead of installing
+  /// it, which would silently undo the change.
+  uint64_t writes_ SIAS_GUARDED_BY(mu_) = 0;
+  std::unordered_map<PageId, uint64_t> last_write_ SIAS_GUARDED_BY(mu_);
   BufferPoolStats stats_ SIAS_GUARDED_BY(mu_);
   /// Hits served by TryFetchCached (merged into stats().hits).
   std::atomic<uint64_t> lockfree_hits_{0};

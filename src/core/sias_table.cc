@@ -155,6 +155,12 @@ struct SiasTable::ReadTask {
   size_t examined = 0;
   BufferPool::AsyncFetch fetch;      ///< demand read the task waits on
   BufferPool::AsyncFetch lookahead;  ///< SIAS-V next-version prefetch
+  /// Index-entry reads only: judges whether the item is dead to every
+  /// snapshot (an empty map entry, or a committed tombstone below the GC
+  /// horizon as the entrypoint) into *dead, from the entrypoint header the
+  /// walk reads anyway.
+  ProbeHorizon* horizon = nullptr;
+  bool* dead = nullptr;
 };
 
 Status SiasTable::StepRead(ReadTask* t, Transaction* txn, size_t io_depth,
@@ -205,13 +211,20 @@ Status SiasTable::StepRead(ReadTask* t, Transaction* txn, size_t io_depth,
 
     // Current version to examine; an exhausted walk is a miss. Chains
     // (Algorithm 1) follow *ptr from the entrypoint; SIAS-V walks the
-    // vector.
+    // vector. An item whose map entry is empty (an aborted insert, or
+    // vacuumed whole) is dead: VIDs are never reused.
     Tid tid;
     if (scheme_ == VersionScheme::kSiasChains) {
       tid = t->tid;
-      if (!tid.valid()) return finish();
+      if (!tid.valid()) {
+        if (t->first && t->dead != nullptr) *t->dead = true;
+        return finish();
+      }
     } else {
-      if (t->pos >= t->versions.size()) return finish();
+      if (t->pos >= t->versions.size()) {
+        if (t->versions.empty() && t->dead != nullptr) *t->dead = true;
+        return finish();
+      }
       tid = t->versions[t->pos];
     }
 
@@ -295,7 +308,12 @@ Status SiasTable::StepRead(ReadTask* t, Transaction* txn, size_t io_depth,
     t->examined++;
     if (clk != nullptr) clk->Cpu(kCpuVisibilityCheck);
     Obs().visibility_checks->Increment();
-    if (SiasVersionVisible(h, txn->snapshot(), *env_.txns->clog())) {
+    const Clog& clog = *env_.txns->clog();
+    if (t->first && t->dead != nullptr) {
+      *t->dead = SiasTombstoneDead(
+          h, clog, [&] { return t->horizon->Get(*env_.txns); });
+    }
+    if (SiasVersionVisible(h, txn->snapshot(), clog)) {
       t->visible = tid;
       if (!h.is_tombstone()) {
         Slice p = TuplePayload(tuple);
@@ -334,7 +352,8 @@ Status SiasTable::RunReads(Transaction* txn, ReadTask* tasks, size_t n,
 }
 
 Status SiasTable::ReadOne(Transaction* txn, Vid vid,
-                          std::optional<std::string>* row, Tid* visible) {
+                          std::optional<std::string>* row, Tid* visible,
+                          ProbeHorizon* horizon, bool* dead) {
   // Version walk span: whatever virtual time the walk spends outside nested
   // io_wait spans is this transaction's traversal phase.
   obs::SpanScope trav_span(obs::SpanPhase::kTraversal, "mvcc", "read", vid);
@@ -346,6 +365,8 @@ Status SiasTable::ReadOne(Transaction* txn, Vid vid,
   ReadTask t;
   t.vid = vid;
   t.row = row;
+  t.horizon = horizon;
+  t.dead = dead;
   SIAS_RETURN_NOT_OK(RunReads(txn, &t, 1, /*io_depth=*/1));
   if (visible != nullptr) *visible = t.visible;
   return Status::OK();
@@ -514,6 +535,15 @@ Result<std::optional<std::string>> SiasTable::Read(Transaction* txn,
   return row;
 }
 
+Status SiasTable::ReadIndexEntry(Transaction* txn, uint64_t value,
+                                 ProbeHorizon* horizon, IndexEntryRead* out) {
+  TRACE_OP("mvcc", "sias_read");
+  reads_.fetch_add(1, std::memory_order_relaxed);
+  Obs().reads->Increment();
+  out->vid = value;
+  return ReadOne(txn, value, &out->row, nullptr, horizon, &out->dead);
+}
+
 Status SiasTable::ReadMulti(Transaction* txn, const std::vector<Vid>& vids,
                             size_t io_depth,
                             std::vector<std::optional<std::string>>* rows) {
@@ -650,6 +680,7 @@ Status SiasTable::LiveVersions(Vid vid, Xid horizon,
   live->clear();
   *whole_item_dead = false;
   const Clog& clog = *env_.txns->clog();
+  auto fixed_horizon = [horizon] { return horizon; };
 
   // Walk newest-to-oldest and STOP at the horizon anchor: the predecessor
   // pointer of the anchor may dangle into a page reclaimed by an earlier GC
@@ -672,15 +703,16 @@ Status SiasTable::LiveVersions(Vid vid, Xid horizon,
         continue;
       }
       live->push_back(VersionRef{tid, h});
+      if (live->size() == 1 && SiasTombstoneDead(h, clog, fixed_horizon)) {
+        // The item is deleted and no snapshot can see pre-delete versions:
+        // even the tombstone can go.
+        live->clear();
+        *whole_item_dead = true;
+        return Status::OK();
+      }
       // Anchor: first committed version below the horizon. Everything older
       // is invisible to every live and future snapshot.
       if (creator == TxnStatus::kCommitted && h.xmin < horizon) {
-        if (h.is_tombstone() && live->size() == 1) {
-          // The item is deleted and no snapshot can see pre-delete
-          // versions: even the tombstone can go.
-          live->clear();
-          *whole_item_dead = true;
-        }
         return Status::OK();  // anchor reached: never follow its pred
       }
       tid = h.pred();
@@ -702,12 +734,12 @@ Status SiasTable::LiveVersions(Vid vid, Xid horizon,
     TxnStatus creator = clog.Get(h.xmin);
     if (creator == TxnStatus::kAborted) continue;
     live->push_back(VersionRef{tid, h});
+    if (live->size() == 1 && SiasTombstoneDead(h, clog, fixed_horizon)) {
+      live->clear();
+      *whole_item_dead = true;
+      return Status::OK();
+    }
     if (creator == TxnStatus::kCommitted && h.xmin < horizon) {
-      if (h.is_tombstone() && live->size() == 1) {
-        live->clear();
-        *whole_item_dead = true;
-        return Status::OK();
-      }
       break;  // anchor reached: never follow older entries
     }
   }

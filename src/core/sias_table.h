@@ -56,6 +56,12 @@ class SiasTable : public MvccTable {
                 Tid* new_tid = nullptr) override;
   Status Delete(Transaction* txn, Vid vid) override;
   Result<std::optional<std::string>> Read(Transaction* txn, Vid vid) override;
+  /// Read() of the VID in `value` that also judges the item dead when its
+  /// map entry is empty or its entrypoint is a tombstone committed below
+  /// the GC horizon (SiasTombstoneDead). The walk reads the entrypoint's
+  /// header anyway, so the verdict costs no page fetch.
+  Status ReadIndexEntry(Transaction* txn, uint64_t value,
+                        ProbeHorizon* horizon, IndexEntryRead* out) override;
   /// Pipelined batch read: one resumable traversal task per VID, the same
   /// task Read() runs alone. A task that needs a cold page SUBMITS the read
   /// (BufferPool::StartFetch) and suspends; the driver keeps up to
@@ -153,9 +159,11 @@ class SiasTable : public MvccTable {
 
   /// Resolves `vid` in txn's snapshot (a batch of one at depth 1). `*row`
   /// gets the payload when the visible version is not a tombstone, and
-  /// `*visible` (if non-null) that version's TID.
+  /// `*visible` (if non-null) that version's TID. With `dead`, also judges
+  /// the item dead (see ReadIndexEntry).
   Status ReadOne(Transaction* txn, Vid vid, std::optional<std::string>* row,
-                 Tid* visible);
+                 Tid* visible, ProbeHorizon* horizon = nullptr,
+                 bool* dead = nullptr);
 
   /// Entry validation for Update/Delete under the row lock
   /// (Algorithm 3 lines 3-6). Returns the base version reference.

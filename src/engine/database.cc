@@ -637,7 +637,11 @@ Status Database::Recover(const RecoverOptions& ropts) {
 Status Database::Vacuum(VirtualClock* clk, GcStats* stats) {
   bool expected = false;
   if (!vacuum_running_.compare_exchange_strong(expected, true)) {
-    return Status::OK();  // another pass is in flight; see header comment
+    // Another pass is in flight; see header comment.
+    static obs::Counter* skipped =
+        obs::MetricsRegistry::Default().GetCounter("db.vacuum.skipped");
+    skipped->Increment();
+    return Status::OK();
   }
   struct Release {
     std::atomic<bool>* flag;

@@ -137,8 +137,8 @@ class Database {
   /// victim selection re-checks its gc_pending_ set long before it inserts,
   /// so two overlapping passes could pick the same page and double-enqueue
   /// its epoch-deferred wipe. A call that finds another vacuum in flight
-  /// returns OK without doing work (the running pass covers the cadence;
-  /// single-threaded callers are never skipped).
+  /// returns OK without doing work, counted in db.vacuum.skipped
+  /// (single-threaded callers are never skipped).
   Status Vacuum(VirtualClock* clk, GcStats* stats = nullptr);
 
   /// Crash recovery: restores the control block, replays the WAL, aborts

@@ -65,7 +65,8 @@ Status Table::Update(Transaction* txn, Vid vid, const Row& new_row) {
 
 Status Table::Delete(Transaction* txn, Vid vid) {
   // Version-aware indexes need a delete record carrying the doomed row's
-  // key; fetch it only when one asks (B+-trees clean ghosts lazily).
+  // key; fetch it only when one asks (B+-tree entries are killed by the
+  // probes that find them dead).
   bool need_keys = false;
   for (auto& idx : indexes_) {
     need_keys = need_keys || idx.index->wants_delete_events();
@@ -126,29 +127,56 @@ Status Table::Scan(Transaction* txn, const RowCallback& cb) {
   return s;
 }
 
-Result<std::optional<std::pair<Vid, Row>>> Table::ResolveIndexHit(
-    Transaction* txn, uint64_t value, Slice key, const IndexDef& index) {
-  if (scheme() == VersionScheme::kSi) {
-    Tid tid = Tid::Unpack(value);
-    Vid vid = kInvalidVid;
-    SIAS_ASSIGN_OR_RETURN(std::optional<std::string> bytes,
-                          heap_->ReadAtTid(txn, tid, &vid));
-    if (!bytes.has_value()) return std::optional<std::pair<Vid, Row>>{};
-    SIAS_ASSIGN_OR_RETURN(Row row, Row::Decode(schema_, Slice(*bytes)));
-    return std::optional<std::pair<Vid, Row>>{{vid, std::move(row)}};
+class Table::HitResolver {
+ public:
+  HitResolver(Table* table, Transaction* txn, IndexDef* index)
+      : table_(table), txn_(txn), index_(index) {}
+
+  /// The visible (vid, row) behind `hit`, or nullopt: nothing visible, a
+  /// stale SIAS key, or an item this probe already returned.
+  Result<std::optional<std::pair<Vid, Row>>> Resolve(const IndexHit& hit) {
+    using Out = std::optional<std::pair<Vid, Row>>;
+    if (hit.visibility_resolved) {
+      // The index already decided visibility; the heap read only
+      // materializes attributes not present in the entry.
+      Vid vid = hit.value;
+      SIAS_ASSIGN_OR_RETURN(std::optional<Row> row, table_->Get(txn_, vid));
+      if (!row.has_value() || !seen_.insert(vid).second) return Out{};
+      return Out{{vid, std::move(*row)}};
+    }
+    IndexEntryRead read;
+    SIAS_RETURN_NOT_OK(
+        table_->heap_->ReadIndexEntry(txn_, hit.value, &horizon_, &read));
+    if (read.dead) dead_.emplace_back(hit.key, hit.value);
+    if (!read.row.has_value()) return Out{};
+    SIAS_ASSIGN_OR_RETURN(Row row,
+                          Row::Decode(table_->schema_, Slice(*read.row)));
+    // SIAS entries name the item, so one may predate a key-changing update;
+    // such a stale entry is skipped here and left in the index.
+    if (table_->scheme() != VersionScheme::kSi &&
+        Slice(index_->extractor(row)) != Slice(hit.key)) {
+      return Out{};
+    }
+    if (!seen_.insert(read.vid).second) return Out{};
+    return Out{{read.vid, std::move(row)}};
   }
-  // SIAS: value is the VID; resolve through the VidMap, then recheck the
-  // key (the entry may predate a key-changing update).
-  Vid vid = value;
-  SIAS_ASSIGN_OR_RETURN(std::optional<std::string> bytes,
-                        heap_->Read(txn, vid));
-  if (!bytes.has_value()) return std::optional<std::pair<Vid, Row>>{};
-  SIAS_ASSIGN_OR_RETURN(Row row, Row::Decode(schema_, Slice(*bytes)));
-  if (Slice(index.extractor(row)) != key) {
-    return std::optional<std::pair<Vid, Row>>{};  // stale entry
+
+  /// Removes the dead entries found; the probe must have returned.
+  Status Finish() {
+    for (const auto& [key, value] : dead_) {
+      SIAS_RETURN_NOT_OK(index_->index->Kill(Slice(key), value, txn_->clock()));
+    }
+    return Status::OK();
   }
-  return std::optional<std::pair<Vid, Row>>{{vid, std::move(row)}};
-}
+
+ private:
+  Table* table_;
+  Transaction* txn_;
+  IndexDef* index_;
+  ProbeHorizon horizon_;
+  std::unordered_set<Vid> seen_;
+  std::vector<std::pair<std::string, uint64_t>> dead_;
+};
 
 Result<std::vector<std::pair<Vid, Row>>> Table::IndexLookup(Transaction* txn,
                                                             size_t index_id,
@@ -163,25 +191,13 @@ Result<std::vector<std::pair<Vid, Row>>> Table::IndexLookup(Transaction* txn,
                                         hits.push_back(hit);
                                         return true;
                                       }));
+  HitResolver resolver(this, txn, &idx);
   std::vector<std::pair<Vid, Row>> out;
-  std::unordered_set<Vid> seen;
   for (const IndexHit& hit : hits) {
-    if (hit.visibility_resolved) {
-      // The index already decided visibility; the heap read only
-      // materializes attributes not present in the entry.
-      Vid vid = hit.value;
-      SIAS_ASSIGN_OR_RETURN(std::optional<Row> row, Get(txn, vid));
-      if (row.has_value() && seen.insert(vid).second) {
-        out.emplace_back(vid, std::move(*row));
-      }
-      continue;
-    }
-    SIAS_ASSIGN_OR_RETURN(auto resolved,
-                          ResolveIndexHit(txn, hit.value, key, idx));
-    if (resolved.has_value() && seen.insert(resolved->first).second) {
-      out.push_back(std::move(*resolved));
-    }
+    SIAS_ASSIGN_OR_RETURN(auto resolved, resolver.Resolve(hit));
+    if (resolved.has_value()) out.push_back(std::move(*resolved));
   }
+  SIAS_RETURN_NOT_OK(resolver.Finish());
   return out;
 }
 
@@ -193,34 +209,21 @@ Status Table::IndexRange(Transaction* txn, size_t index_id, Slice lo,
   IndexDef& idx = indexes_[index_id];
   // Hit callbacks run latch-free (SecondaryIndex contract), so rows can be
   // resolved inline.
-  std::unordered_set<Vid> seen;
+  HitResolver resolver(this, txn, &idx);
   Status inner;
   Status s = idx.index->ProbeRange(
       txn->snapshot(), lo, hi, txn->clock(), [&](const IndexHit& hit) {
-        if (hit.visibility_resolved) {
-          Vid vid = hit.value;
-          auto row = Get(txn, vid);
-          if (!row.ok()) {
-            inner = row.status();
-            return false;
-          }
-          if (row->has_value() && seen.insert(vid).second) {
-            return cb(vid, **row);
-          }
-          return true;
-        }
-        auto resolved = ResolveIndexHit(txn, hit.value, Slice(hit.key), idx);
+        auto resolved = resolver.Resolve(hit);
         if (!resolved.ok()) {
           inner = resolved.status();
           return false;
         }
-        if (resolved->has_value() && seen.insert((*resolved)->first).second) {
-          return cb((*resolved)->first, (*resolved)->second);
-        }
-        return true;
+        if (!resolved->has_value()) return true;
+        return cb((*resolved)->first, (*resolved)->second);
       });
   SIAS_RETURN_NOT_OK(inner);
-  return s;
+  SIAS_RETURN_NOT_OK(s);
+  return resolver.Finish();
 }
 
 Status Table::IndexOnlyRange(Transaction* txn, size_t index_id, Slice lo,
@@ -229,7 +232,7 @@ Status Table::IndexOnlyRange(Transaction* txn, size_t index_id, Slice lo,
     return Status::InvalidArgument("no such index");
   }
   IndexDef& idx = indexes_[index_id];
-  std::unordered_set<Vid> seen;
+  HitResolver resolver(this, txn, &idx);
   Status inner;
   Status s = idx.index->ProbeRange(
       txn->snapshot(), lo, hi, txn->clock(), [&](const IndexHit& hit) {
@@ -240,18 +243,17 @@ Status Table::IndexOnlyRange(Transaction* txn, size_t index_id, Slice lo,
         }
         // Candidate entry: visibility lives in the heap version chain.
         ScanHeapResolves()->Increment();
-        auto resolved = ResolveIndexHit(txn, hit.value, Slice(hit.key), idx);
+        auto resolved = resolver.Resolve(hit);
         if (!resolved.ok()) {
           inner = resolved.status();
           return false;
         }
-        if (resolved->has_value() && seen.insert((*resolved)->first).second) {
-          return cb(Slice(hit.key), (*resolved)->first);
-        }
-        return true;
+        if (!resolved->has_value()) return true;
+        return cb(Slice(hit.key), (*resolved)->first);
       });
   SIAS_RETURN_NOT_OK(inner);
-  return s;
+  SIAS_RETURN_NOT_OK(s);
+  return resolver.Finish();
 }
 
 Status Table::GarbageCollect(Xid horizon, VirtualClock* clk, GcStats* stats) {

@@ -6,7 +6,8 @@
 // MV-PBT (index/mvpbt.h), whose version records answer visibility from the
 // index alone. The table feeds every attached index the same write events
 // and resolves probe hits against the heap only when the index could not
-// (IndexHit::visibility_resolved).
+// (IndexHit::visibility_resolved). Such a resolution also removes the
+// entries it finds dead to every snapshot (SecondaryIndex::Kill).
 #pragma once
 
 #include <functional>
@@ -75,7 +76,8 @@ class Table {
   Status IndexOnlyRange(Transaction* txn, size_t index_id, Slice lo,
                         Slice hi, const KeyVidCallback& cb);
 
-  /// Garbage collection of the heap (indexes clean lazily on lookup).
+  /// Garbage collection of the heap. Index entries of reclaimed versions
+  /// are removed by the probes that find them dead, not here.
   Status GarbageCollect(Xid horizon, VirtualClock* clk, GcStats* stats);
 
   /// Vacuum-driven index maintenance (MV-PBT partition flush/merge).
@@ -96,10 +98,13 @@ class Table {
     KeyExtractor extractor;
   };
 
-  /// Resolves one unresolved index hit to a visible row (scheme-dependent
-  /// heap dereference).
-  Result<std::optional<std::pair<Vid, Row>>> ResolveIndexHit(
-      Transaction* txn, uint64_t value, Slice key, const IndexDef& index);
+  /// One probe's hit resolution (defined in the .cc), shared by
+  /// IndexLookup, IndexRange and IndexOnlyRange. It resolves each hit to
+  /// the visible row, at most once per VID, and collects the entries the
+  /// heap judged dead to every snapshot; Finish() removes them
+  /// (SecondaryIndex::Kill) once the probe has returned, outside the index
+  /// latch, so no later probe resolves them again.
+  class HitResolver;
 
   /// Collects (index_id, key, tid, vid) for every row `txn` sees; used by
   /// the rebuild/backfill paths (entries are posted after the heap scan so

@@ -107,6 +107,10 @@ class MvPbt : public SecondaryIndex {
   Status ProbeRange(const Snapshot& snap, Slice lo, Slice hi,
                     VirtualClock* clk, const HitCallback& cb) override;
 
+  /// No-op: MV-PBT resolves visibility itself, so the table never finds
+  /// one of its entries dead; merges purge superseded records.
+  Status Kill(Slice, uint64_t, VirtualClock*) override { return Status::OK(); }
+
   /// Vacuum hook: flushes a sufficiently full buffer, then merges the
   /// partition stack when it exceeds max_partitions, purging records no
   /// snapshot at or above `horizon` can distinguish.

@@ -3,6 +3,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
+
 namespace sias {
 
 Status BTreeIndex::Probe(const Snapshot&, Slice key, VirtualClock* clk,
@@ -37,6 +39,16 @@ Status BTreeIndex::ProbeRange(const Snapshot&, Slice lo, Slice hi,
   for (const IndexHit& hit : hits) {
     if (!cb(hit)) return Status::OK();
   }
+  return Status::OK();
+}
+
+Status BTreeIndex::Kill(Slice key, uint64_t value, VirtualClock* clk) {
+  static obs::Counter* killed =
+      obs::MetricsRegistry::Default().GetCounter("index.entries_killed");
+  Status s = tree_.Delete(key, value, clk);
+  if (s.IsNotFound()) return Status::OK();  // a concurrent probe won
+  SIAS_RETURN_NOT_OK(s);
+  killed->Increment();
   return Status::OK();
 }
 

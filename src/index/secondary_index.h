@@ -84,6 +84,11 @@ class SecondaryIndex {
   virtual Status ProbeRange(const Snapshot& snap, Slice lo, Slice hi,
                             VirtualClock* clk, const HitCallback& cb) = 0;
 
+  /// Removes the entry <key, value>, which a probe's heap resolution found
+  /// dead to every snapshot (Table's hit resolution; never called with an
+  /// index latch held). An entry already gone is not an error.
+  virtual Status Kill(Slice key, uint64_t value, VirtualClock* clk) = 0;
+
   /// Vacuum-driven maintenance (MV-PBT partition flush/merge; B+-tree
   /// no-op). `horizon` bounds which superseded records may be purged.
   virtual Status Maintain(Xid horizon, VirtualClock* clk) = 0;
@@ -93,7 +98,8 @@ class SecondaryIndex {
 };
 
 /// The classical B+-tree behind the common interface. Visibility is NOT
-/// resolved here: hits are candidates for Table::ResolveIndexHit.
+/// resolved here: hits are candidates the Table resolves through the heap,
+/// which also finds the entries to Kill.
 class BTreeIndex : public SecondaryIndex {
  public:
   BTreeIndex(RelationId relation, BufferPool* pool, VersionScheme scheme)
@@ -123,7 +129,9 @@ class BTreeIndex : public SecondaryIndex {
   }
 
   Status OnDelete(const IndexWriteCtx&, Slice) override {
-    // Entries are removed lazily (vacuum / lookup-time ghost cleanup).
+    // A deleted row's entries stay: older snapshots still reach it through
+    // them. A probe removes each once its target is dead to every snapshot
+    // (Kill).
     return Status::OK();
   }
 
@@ -134,6 +142,8 @@ class BTreeIndex : public SecondaryIndex {
   Status ProbeRange(const Snapshot&, Slice lo, Slice hi, VirtualClock* clk,
                     const HitCallback& cb) override;
 
+  /// BTree::Delete; counted in index.entries_killed.
+  Status Kill(Slice key, uint64_t value, VirtualClock* clk) override;
   Status Maintain(Xid, VirtualClock*) override { return Status::OK(); }
   uint64_t entries() const override { return tree_.size(); }
 

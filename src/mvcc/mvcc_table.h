@@ -58,6 +58,30 @@ inline constexpr VDuration kCpuVisibilityCheck = 50;
 inline constexpr VDuration kCpuVidMapProbe = 40;
 inline constexpr VDuration kCpuTupleCopy = 150;
 
+/// The GC horizon as one index probe's dead-entry verdicts read it: from
+/// the transaction manager on first use, then cached for the probe.
+class ProbeHorizon {
+ public:
+  Xid Get(const TransactionManager& txns) {
+    if (!read_) {
+      value_ = txns.GcHorizon();
+      read_ = true;
+    }
+    return value_;
+  }
+
+ private:
+  bool read_ = false;
+  Xid value_ = kInvalidXid;
+};
+
+/// What MvccTable::ReadIndexEntry found behind one index entry.
+struct IndexEntryRead {
+  std::optional<std::string> row;  ///< visible row payload, if any
+  Vid vid = kInvalidVid;           ///< the item; unknown for a vacuumed slot
+  bool dead = false;               ///< entry is dead to every snapshot
+};
+
 /// A logical table of data items addressed by VID, storing multiple tuple
 /// versions per item. All methods are thread-safe.
 class MvccTable {
@@ -109,17 +133,16 @@ class MvccTable {
     return Status::OK();
   }
 
-  /// Reads the version at a physical location if it is visible to txn
-  /// (the SI index path: index entries address tuple versions directly).
-  /// Schemes that do not address versions individually return NotSupported.
-  virtual Result<std::optional<std::string>> ReadAtTid(Transaction* txn,
-                                                       Tid tid,
-                                                       Vid* vid_out) {
-    (void)txn;
-    (void)tid;
-    (void)vid_out;
-    return Status::NotSupported("scheme does not address versions by TID");
-  }
+  /// Resolves one B+-tree index entry's value in txn's snapshot: a packed
+  /// TID under SI (one entry per version), a VID under SIAS (one per item).
+  /// Also judges whether the entry is dead: its target (SI: that version;
+  /// SIAS: the whole item) is invisible to every current and future
+  /// snapshot, so the index may drop the entry. The verdict comes from the
+  /// headers the read fetches anyway; `horizon` is read only for a target
+  /// that a committed transaction invalidated or deleted.
+  virtual Status ReadIndexEntry(Transaction* txn, uint64_t value,
+                                ProbeHorizon* horizon,
+                                IndexEntryRead* out) = 0;
 
   /// Visits every data item visible in txn's snapshot.
   virtual Status Scan(Transaction* txn, const ScanCallback& cb) = 0;

@@ -137,7 +137,8 @@ Result<Vid> SiHeap::Insert(Transaction* txn, Slice row, Tid* tid_out) {
 }
 
 Status SiHeap::FetchVersion(Tid tid, VirtualClock* clk, TupleHeader* header,
-                            std::string* payload) {
+                            const Snapshot* snap,
+                            std::optional<std::string>* row) {
   auto r = env_.pool->FetchPage(PageId{relation_, tid.page}, clk);
   if (!r.ok()) return r.status();
   PageGuard guard = std::move(*r);
@@ -147,9 +148,9 @@ Status SiHeap::FetchVersion(Tid tid, VirtualClock* clk, TupleHeader* header,
     guard.Unlatch();
     return Status::NotFound("version slot dead");
   }
-  if (payload != nullptr) {
+  if (snap != nullptr && SiTupleVisible(*header, *snap, *env_.txns->clog())) {
     Slice p = TuplePayload(tuple);
-    payload->assign(reinterpret_cast<const char*>(p.data()), p.size());
+    row->emplace(reinterpret_cast<const char*>(p.data()), p.size());
     if (clk != nullptr) clk->Cpu(kCpuTupleCopy);
   }
   guard.Unlatch();
@@ -175,16 +176,16 @@ Result<std::optional<std::string>> SiHeap::Read(Transaction* txn, Vid vid) {
   size_t examined = 0;
   for (auto it = candidates.rbegin(); it != candidates.rend(); ++it) {
     TupleHeader h;
-    std::string payload;
-    Status s = FetchVersion(*it, txn->clock(), &h, &payload);
+    std::optional<std::string> row;
+    Status s = FetchVersion(*it, txn->clock(), &h, &txn->snapshot(), &row);
     if (s.IsNotFound()) continue;  // vacuumed under us
     SIAS_RETURN_NOT_OK(s);
     examined++;
     txn->clock()->Cpu(kCpuVisibilityCheck);
     Obs().visibility_checks->Increment();
-    if (SiTupleVisible(h, txn->snapshot(), *env_.txns->clog())) {
+    if (row.has_value()) {
       Obs().traversal_depth->Record(static_cast<VDuration>(examined));
-      return std::optional<std::string>{std::move(payload)};
+      return row;
     }
     Obs().version_hops->Increment();
     MutexLock g(&stats_mu_);
@@ -195,19 +196,24 @@ Result<std::optional<std::string>> SiHeap::Read(Transaction* txn, Vid vid) {
   return std::optional<std::string>{};
 }
 
-Result<std::optional<std::string>> SiHeap::ReadAtTid(Transaction* txn,
-                                                     Tid tid, Vid* vid_out) {
+Status SiHeap::ReadIndexEntry(Transaction* txn, uint64_t value,
+                              ProbeHorizon* horizon, IndexEntryRead* out) {
   TupleHeader h;
-  std::string payload;
-  Status s = FetchVersion(tid, txn->clock(), &h, &payload);
-  if (s.IsNotFound()) return std::optional<std::string>{};  // vacuumed
+  Status s = FetchVersion(Tid::Unpack(value), txn->clock(), &h,
+                          &txn->snapshot(), &out->row);
+  if (s.IsNotFound()) {
+    out->dead = true;  // vacuumed: the slot is never reused
+    return Status::OK();
+  }
   SIAS_RETURN_NOT_OK(s);
   txn->clock()->Cpu(kCpuVisibilityCheck);
-  if (vid_out != nullptr) *vid_out = h.vid;
-  if (!SiTupleVisible(h, txn->snapshot(), *env_.txns->clog())) {
-    return std::optional<std::string>{};
+  out->vid = h.vid;
+  // A version visible to this (active) snapshot is not dead.
+  if (!out->row.has_value()) {
+    out->dead = SiVersionDead(h, *env_.txns->clog(),
+                              [&] { return horizon->Get(*env_.txns); });
   }
-  return std::optional<std::string>{std::move(payload)};
+  return Status::OK();
 }
 
 Result<Tid> SiHeap::ValidateForWrite(Transaction* txn, Vid vid) {
@@ -223,7 +229,7 @@ Result<Tid> SiHeap::ValidateForWrite(Transaction* txn, Vid vid) {
   // Walk newest-first for the first version whose creator is decided.
   for (auto it = candidates.rbegin(); it != candidates.rend(); ++it) {
     TupleHeader h;
-    Status s = FetchVersion(*it, txn->clock(), &h, nullptr);
+    Status s = FetchVersion(*it, txn->clock(), &h);
     if (s.IsNotFound()) continue;
     SIAS_RETURN_NOT_OK(s);
     const Clog& clog = *env_.txns->clog();
@@ -420,14 +426,7 @@ Status SiHeap::GarbageCollect(Xid horizon, VirtualClock* clk,
       if (tuple.empty()) continue;
       TupleHeader h;
       if (!DecodeTupleHeader(tuple, &h)) continue;
-      bool dead = false;
-      if (clog.Get(h.xmin) == TxnStatus::kAborted) {
-        dead = true;  // never visible to anyone
-      } else if (h.xmax != kInvalidXid && h.xmax < horizon &&
-                 clog.IsCommitted(h.xmax)) {
-        dead = true;  // invalidated before every live snapshot
-      }
-      if (!dead) continue;
+      if (!SiVersionDead(h, clog, [horizon] { return horizon; })) continue;
       SIAS_CHECK(page.DeleteTuple(s).ok());
       changed = true;
       if (stats != nullptr) stats->versions_discarded++;
@@ -612,8 +611,8 @@ Status SiHeap::RebuildLocators() {
   for (auto& [vid, tids] : rebuilt) {
     std::sort(tids.begin(), tids.end(), [&](const Tid& a, const Tid& b) {
       TupleHeader ha, hb;
-      Status sa = FetchVersion(a, nullptr, &ha, nullptr);
-      Status sb = FetchVersion(b, nullptr, &hb, nullptr);
+      Status sa = FetchVersion(a, nullptr, &ha);
+      Status sb = FetchVersion(b, nullptr, &hb);
       if (!sa.ok() || !sb.ok()) return a.Pack() < b.Pack();
       return ha.xmin < hb.xmin;
     });

@@ -36,8 +36,10 @@ class SiHeap : public MvccTable {
                 Tid* new_tid = nullptr) override;
   Status Delete(Transaction* txn, Vid vid) override;
   Result<std::optional<std::string>> Read(Transaction* txn, Vid vid) override;
-  Result<std::optional<std::string>> ReadAtTid(Transaction* txn, Tid tid,
-                                               Vid* vid_out) override;
+  /// `value` is a packed TID. A vacuumed slot is dead (slots are never
+  /// reused), and so is a version vacuum would reclaim (SiVersionDead).
+  Status ReadIndexEntry(Transaction* txn, uint64_t value,
+                        ProbeHorizon* horizon, IndexEntryRead* out) override;
   Status Scan(Transaction* txn, const ScanCallback& cb) override;
   Status ScanWithTid(Transaction* txn,
                      const VersionScanCallback& cb) override;
@@ -62,9 +64,12 @@ class SiHeap : public MvccTable {
   /// Stamps xmax on the version at `tid` (the in-place invalidation).
   Status StampXmax(Transaction* txn, Tid tid, Xid xmax);
 
-  /// Reads a version's header (+payload if wanted) at tid.
+  /// Reads a version's header at tid. With `snap`, also copies the payload
+  /// into `*row` if the header is visible in that snapshot, so an invisible
+  /// version's payload is never copied (nor its copy charged).
   Status FetchVersion(Tid tid, VirtualClock* clk, TupleHeader* header,
-                      std::string* payload);
+                      const Snapshot* snap = nullptr,
+                      std::optional<std::string>* row = nullptr);
 
   /// Validates the newest version for update/delete under the row lock and
   /// returns its TID. Implements first-updater-wins.

@@ -30,4 +30,29 @@ inline bool SiasVersionVisible(const TupleHeader& h, const Snapshot& snap,
   return snap.CreatorVisible(h.xmin, clog);
 }
 
+// Dead-to-every-snapshot rules. `horizon()` yields the GC horizon
+// (TransactionManager::GcHorizon): every current and future snapshot sees
+// each committed xid below it. It is called only when the verdict depends
+// on it, so an index probe whose hits are all live never reads it.
+
+/// SI: the version is dead if its creator aborted or a transaction that
+/// committed below the horizon invalidated it. Vacuum reclaims such a
+/// version; an index probe removes its entry.
+template <typename HorizonFn>
+inline bool SiVersionDead(const TupleHeader& h, const Clog& clog,
+                          HorizonFn&& horizon) {
+  if (clog.Get(h.xmin) == TxnStatus::kAborted) return true;
+  return h.xmax != kInvalidXid && clog.IsCommitted(h.xmax) &&
+         h.xmax < horizon();
+}
+
+/// SIAS: a tombstone committed below the horizon deletes its item for every
+/// snapshot. When it is the item's newest version, vacuum drops the whole
+/// item and an index probe removes the item's entries.
+template <typename HorizonFn>
+inline bool SiasTombstoneDead(const TupleHeader& h, const Clog& clog,
+                              HorizonFn&& horizon) {
+  return h.is_tombstone() && clog.IsCommitted(h.xmin) && h.xmin < horizon();
+}
+
 }  // namespace sias

@@ -327,5 +327,36 @@ class MalformedCheckTest(unittest.TestCase):
         self.assertIn("FAIL  mandatory", out)
 
 
+class IncompleteLegTest(unittest.TestCase):
+    """A write-reduction leg whose TPC-C run failed transactions is marked
+    incomplete in the report instead of passing for a finished run."""
+
+    def test_leg_with_errors_is_marked(self) -> None:
+        def leg(scheme: str, errors: float) -> dict[str, Any]:
+            e = _exp({"written_mb_window0": 10.0, "window0_vsec": 2.0,
+                      "tpcc_errors": errors}, wa=1.0)
+            e["scheme"] = scheme
+            return e
+
+        exps = {"write_reduction.SI": leg("SI", 0),
+                "write_reduction.SIAS-Chains.t1": leg("SIAS-Chains", 42),
+                "write_reduction.SIAS-V.t2": leg("SIAS-V", 0)}
+        text = "\n".join(
+            bench_report.report_write_reduction("write_reduction_tight", exps))
+        self.assertIn("SIAS-Chains.t1 (incomplete) (MB)", text)
+        self.assertIn("| write_reduction.SIAS-Chains.t1 (incomplete) |", text)
+        self.assertIn("write_reduction.SIAS-Chains.t1 (42 TPC-C errors)", text)
+        self.assertNotIn("SIAS-V.t2 (incomplete)", text)
+        self.assertNotIn("SI (incomplete)", text)
+
+    def test_complete_legs_have_no_note(self) -> None:
+        e = _exp({"written_mb_window0": 10.0, "window0_vsec": 2.0,
+                  "tpcc_errors": 0.0})
+        e["scheme"] = "SI"
+        text = "\n".join(bench_report.report_write_reduction(
+            "write_reduction", {"write_reduction.SI": e}))
+        self.assertNotIn("ncomplete", text)
+
+
 if __name__ == "__main__":
     unittest.main()

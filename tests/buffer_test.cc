@@ -78,6 +78,42 @@ TEST_F(BufferPoolTest, DataSurvivesEviction) {
             3u);
 }
 
+// A read submitted before another fetch installs the same page, a writer
+// changes it and eviction writes it out must not install its older image:
+// that would silently undo the change.
+TEST_F(BufferPoolTest, StaleInFlightReadDoesNotUndoAWrittenBackChange) {
+  PageId id;
+  {
+    auto g = pool_.NewPage(1, &clk_);
+    ASSERT_TRUE(g.ok());
+    id = g->id();
+  }
+  auto evict_all = [&] {
+    for (size_t i = 0; i < kFrames * 3; ++i) {
+      ASSERT_TRUE(pool_.NewPage(1, &clk_).ok());
+    }
+    PageGuard probe;
+    ASSERT_FALSE(pool_.TryFetchCached(id, &probe));
+  };
+  evict_all();
+  auto pending = pool_.StartFetch(id, &clk_);  // reads the old image
+  ASSERT_TRUE(pending.ok());
+  ASSERT_FALSE(pending->resident);
+  {
+    auto g = pool_.FetchPage(id, &clk_);
+    ASSERT_TRUE(g.ok());
+    g->LatchExclusive();
+    ASSERT_EQ(g->page().InsertTuple(Slice("newer")), 0);
+    g->MarkDirty();
+    g->Unlatch();
+  }
+  evict_all();  // writes the change back
+  auto g = pool_.FinishFetch(&*pending, &clk_);
+  ASSERT_TRUE(g.ok());
+  EXPECT_EQ(g->page().slot_count(), 1u);
+  EXPECT_EQ(g->page().GetTuple(0).ToString(), "newer");
+}
+
 TEST_F(BufferPoolTest, PinnedPagesAreNotEvicted) {
   std::vector<PageGuard> guards;
   for (size_t i = 0; i < kFrames; ++i) {

@@ -19,12 +19,15 @@
 #include <atomic>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/random.h"
 #include "device/mem_device.h"
 #include "engine/database.h"
+#include "index/key_codec.h"
+#include "obs/metrics.h"
 
 namespace sias {
 namespace {
@@ -226,19 +229,230 @@ TEST_P(ConcurrencyTest, RandomizedMixedWorkloadKeepsSiInvariants) {
   ASSERT_TRUE(db_->Commit(recheck.get()).ok());
 }
 
+std::string SchemeName(const ::testing::TestParamInfo<VersionScheme>& info) {
+  switch (info.param) {
+    case VersionScheme::kSi: return "Si";
+    case VersionScheme::kSiasChains: return "SiasChains";
+    case VersionScheme::kSiasV: return "SiasV";
+  }
+  return "Unknown";
+}
+
 INSTANTIATE_TEST_SUITE_P(AllSchemes, ConcurrencyTest,
                          ::testing::Values(VersionScheme::kSi,
                                            VersionScheme::kSiasChains,
                                            VersionScheme::kSiasV),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case VersionScheme::kSi: return "Si";
-                             case VersionScheme::kSiasChains:
-                               return "SiasChains";
-                             case VersionScheme::kSiasV: return "SiasV";
-                           }
-                           return "Unknown";
-                         });
+                         SchemeName);
+
+// --- Index probes kill dead entries while writers and vacuum run ---------
+//
+// Writers update keyed rows or replace them (delete + insert of the same
+// key in one transaction, so SIAS items die too), some aborting on
+// purpose; a vacuum thread loops; readers probe and range-scan the key
+// index, removing the entries they find dead. Every read is replayed
+// against a serial oracle afterwards: under its snapshot, each key must
+// resolve to exactly the value of the committed write with the largest xid
+// the snapshot contains. A kill that removed an entry some snapshot still
+// needed shows up as a missing row.
+
+constexpr int kKillKeys = 8;
+constexpr int kKillWriters = 2;  // writer w owns the keys k % 2 == w
+constexpr int kKillReaders = 2;
+constexpr int kKillOps = 150;
+
+struct KeyWrite {
+  Xid xid;
+  int64_t value;
+};
+
+struct KeyRead {
+  Snapshot snapshot;
+  int64_t key;
+  std::vector<int64_t> values;  // values found under the key
+};
+
+class IndexKillConcurrencyTest
+    : public ::testing::TestWithParam<VersionScheme> {};
+
+TEST_P(IndexKillConcurrencyTest, ProbesKillOnlyEntriesNoSnapshotNeeds) {
+  MemDevice data(1ull << 30), wal(1ull << 30);
+  DatabaseOptions opts;
+  opts.data_device = &data;
+  opts.wal_device = &wal;
+  opts.pool_frames = 64;
+  opts.lock_timeout_ms = 20;
+  auto opened = Database::Open(opts);
+  ASSERT_TRUE(opened.ok());
+  std::unique_ptr<Database> db = std::move(*opened);
+  auto created = db->CreateTable(
+      "keyed", Schema{{"k", ColumnType::kInt64}, {"v", ColumnType::kInt64}},
+      GetParam());
+  ASSERT_TRUE(created.ok());
+  Table* table = *created;
+  ASSERT_TRUE(db->CreateIndex(table, "keyed_by_k", [](const Row& r) {
+                  return IntKey(r.GetInt(0));
+                }).ok());
+
+  std::array<std::vector<KeyWrite>, kKillKeys> history;
+  std::array<Vid, kKillKeys> current{};
+  {
+    VirtualClock clk;
+    auto txn = db->Begin(&clk);
+    for (int64_t k = 0; k < kKillKeys; ++k) {
+      auto vid = table->Insert(txn.get(), Row{{k, int64_t{0}}});
+      ASSERT_TRUE(vid.ok());
+      current[k] = *vid;
+      history[k].push_back(KeyWrite{txn->xid(), 0});
+    }
+    ASSERT_TRUE(db->Commit(txn.get()).ok());
+  }
+  const int64_t killed_before = obs::MetricsRegistry::Default()
+                                    .GetCounter("index.entries_killed")
+                                    ->Value();
+
+  std::atomic<bool> stop{false};
+  std::atomic<bool> fatal{false};
+  std::array<std::vector<KeyWrite>, kKillKeys> writes;  // per owned key
+  std::vector<std::vector<KeyRead>> reads(kKillReaders);
+
+  auto writer = [&](int w) {
+    Random rng(0x4B111ull + static_cast<uint64_t>(w));
+    VirtualClock clk;
+    for (int i = 0; i < kKillOps && !fatal.load(); ++i) {
+      int64_t k =
+          2 * static_cast<int64_t>(rng.Uniform(0, kKillKeys / 2 - 1)) + w;
+      auto txn = db->Begin(&clk);
+      const int64_t value = static_cast<int64_t>(txn->xid());
+      Vid next = current[k];
+      Status s;
+      if (rng.Uniform(0, 99) < 60) {
+        s = table->Update(txn.get(), next, Row{{k, value}});
+      } else {
+        s = table->Delete(txn.get(), next);
+        if (s.ok()) {
+          auto vid = table->Insert(txn.get(), Row{{k, value}});
+          s = vid.status();
+          if (vid.ok()) next = *vid;
+        }
+      }
+      // A lock timeout against vacuum, or an intentional abort: either
+      // way the write must leave no trace.
+      if (s.ok() && rng.Uniform(0, 99) >= 15 && db->Commit(txn.get()).ok()) {
+        current[k] = next;
+        writes[k].push_back(KeyWrite{txn->xid(), value});
+      } else if (txn->state() == TxnState::kActive) {
+        if (!db->Abort(txn.get()).ok()) fatal.store(true);
+      }
+    }
+  };
+
+  // Reader r keeps each snapshot for kProbesPerTxn[r] probes, so a long
+  // snapshot overlaps many writes and other readers' kills.
+  constexpr std::array<int, kKillReaders> kProbesPerTxn = {25, 2};
+  auto reader = [&](int id) {
+    Random rng(0x4EADull + static_cast<uint64_t>(id));
+    VirtualClock clk;
+    for (int i = 0; i < kKillOps && !fatal.load();) {
+      auto txn = db->Begin(&clk);
+      for (int p = 0; p < kProbesPerTxn[id] && !fatal.load(); ++p, ++i) {
+        std::array<std::vector<int64_t>, kKillKeys> found;
+        Status s;
+        if (rng.Uniform(0, 1) == 0) {
+          int64_t k = static_cast<int64_t>(rng.Uniform(0, kKillKeys - 1));
+          auto hits = table->IndexLookup(txn.get(), 0, IntKey(k));
+          s = hits.status();
+          if (hits.ok()) {
+            for (const auto& [vid, row] : *hits) {
+              found[k].push_back(row.GetInt(1));
+            }
+            reads[id].push_back(KeyRead{txn->snapshot(), k, found[k]});
+          }
+        } else {
+          s = table->IndexRange(txn.get(), 0, IntKey(0), IntKey(kKillKeys),
+                                [&](Vid, const Row& row) {
+                                  found[row.GetInt(0)].push_back(
+                                      row.GetInt(1));
+                                  return true;
+                                });
+          for (int64_t k = 0; s.ok() && k < kKillKeys; ++k) {
+            reads[id].push_back(KeyRead{txn->snapshot(), k, found[k]});
+          }
+        }
+        if (!s.ok()) {
+          ADD_FAILURE() << "probe failed: " << s.ToString();
+          fatal.store(true);
+        }
+        std::this_thread::yield();
+      }
+      (void)db->Commit(txn.get());
+    }
+  };
+
+  auto vacuum = [&] {
+    VirtualClock clk;
+    while (!stop.load()) {
+      Status s = db->Vacuum(&clk);
+      if (!s.ok()) {
+        ADD_FAILURE() << "vacuum failed: " << s.ToString();
+        fatal.store(true);
+        return;
+      }
+      std::this_thread::yield();
+    }
+  };
+
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kKillWriters; ++w) threads.emplace_back(writer, w);
+  for (int r = 0; r < kKillReaders; ++r) threads.emplace_back(reader, r);
+  std::thread vac(vacuum);
+  for (auto& t : threads) t.join();
+  stop.store(true);
+  vac.join();
+  ASSERT_FALSE(fatal.load());
+
+  // One more scan after the writers are done kills whatever is left dead.
+  {
+    VirtualClock clk;
+    auto txn = db->Begin(&clk);
+    ASSERT_TRUE(table->IndexRange(txn.get(), 0, IntKey(0), IntKey(kKillKeys),
+                                  [](Vid, const Row&) { return true; })
+                    .ok());
+    ASSERT_TRUE(db->Commit(txn.get()).ok());
+  }
+
+  size_t checked = 0;
+  for (int64_t k = 0; k < kKillKeys; ++k) {
+    history[k].insert(history[k].end(), writes[k].begin(), writes[k].end());
+  }
+  for (const auto& thread_reads : reads) {
+    for (const KeyRead& r : thread_reads) {
+      const KeyWrite* visible = nullptr;
+      for (const KeyWrite& w : history[r.key]) {
+        if (!r.snapshot.Contains(w.xid)) continue;
+        if (visible == nullptr || w.xid > visible->xid) visible = &w;
+      }
+      ASSERT_NE(visible, nullptr);
+      EXPECT_EQ(r.values, std::vector<int64_t>{visible->value})
+          << "key " << r.key << " under the snapshot of xid "
+          << r.snapshot.xid << " must resolve to the write of xid "
+          << visible->xid;
+      checked++;
+    }
+  }
+  EXPECT_GT(checked, 0u);
+  EXPECT_GT(obs::MetricsRegistry::Default()
+                .GetCounter("index.entries_killed")
+                ->Value(),
+            killed_before);
+  // With no snapshot left, one live entry per key remains.
+  EXPECT_EQ(table->index(0)->entries(), static_cast<uint64_t>(kKillKeys));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSchemes, IndexKillConcurrencyTest,
+                         ::testing::Values(VersionScheme::kSi,
+                                           VersionScheme::kSiasChains,
+                                           VersionScheme::kSiasV),
+                         SchemeName);
 
 }  // namespace
 }  // namespace sias

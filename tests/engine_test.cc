@@ -595,5 +595,160 @@ INSTANTIATE_TEST_SUITE_P(AllSchemes, ReadOnlyCommitTest,
                                            VersionScheme::kSiasV),
                          SchemeTestName);
 
+// --- Index probes remove entries dead to every snapshot -----------------
+
+class IndexKillTest : public EngineTest {
+ protected:
+  int64_t Killed() { return CounterValue("index.entries_killed"); }
+  uint64_t IdEntries() { return accounts_->index(0)->entries(); }
+
+  void SetBalance(Vid vid, int64_t id, const std::string& owner,
+                  double balance) {
+    auto txn = db_->Begin(&clk_);
+    ASSERT_TRUE(
+        accounts_->Update(txn.get(), vid, Account(id, owner, balance)).ok());
+    ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  }
+
+  void DeleteAccount(Vid vid) {
+    auto txn = db_->Begin(&clk_);
+    ASSERT_TRUE(accounts_->Delete(txn.get(), vid).ok());
+    ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  }
+
+  /// Balances of the rows `txn` finds under id `id` (index 0).
+  std::vector<double> Lookup(Transaction* txn, int64_t id) {
+    auto hits = accounts_->IndexLookup(txn, 0, IntKey(id));
+    EXPECT_TRUE(hits.ok()) << hits.status().ToString();
+    std::vector<double> out;
+    if (hits.ok()) {
+      for (const auto& [vid, row] : *hits) out.push_back(row.GetDouble(2));
+    }
+    return out;
+  }
+
+  /// Ids `txn` finds by range-scanning index 0 over [0, 100).
+  std::vector<int64_t> Range(Transaction* txn) {
+    std::vector<int64_t> ids;
+    EXPECT_TRUE(accounts_
+                    ->IndexRange(txn, 0, IntKey(0), IntKey(100),
+                                 [&](Vid, const Row& row) {
+                                   ids.push_back(row.GetInt(0));
+                                   return true;
+                                 })
+                    .ok());
+    return ids;
+  }
+};
+
+// SI keeps one entry per version. Once vacuum has reclaimed a hot key's old
+// versions, the first probe removes their entries, and the next one finds
+// only the live entry. SIAS keeps one entry per item, so nothing dies.
+TEST_P(IndexKillTest, ProbeOfHotKeyKillsItsDeadEntries) {
+  const bool si = GetParam() == VersionScheme::kSi;
+  constexpr int kUpdates = 20;
+  Vid hot = InsertAccount(1, "alice", 0.0);
+  InsertAccount(2, "bob", 0.0);
+  for (int i = 1; i <= kUpdates; ++i) SetBalance(hot, 1, "alice", i);
+  ASSERT_TRUE(db_->Vacuum(&clk_).ok());
+  EXPECT_EQ(IdEntries(), si ? kUpdates + 2u : 2u);
+
+  const int64_t killed = Killed();
+  {
+    auto txn = db_->Begin(&clk_);
+    EXPECT_EQ(Lookup(txn.get(), 1), std::vector<double>{kUpdates});
+    ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  }
+  EXPECT_EQ(Killed() - killed, si ? kUpdates : 0);
+  EXPECT_EQ(IdEntries(), 2u);
+  {
+    auto txn = db_->Begin(&clk_);
+    EXPECT_EQ(Lookup(txn.get(), 1), std::vector<double>{kUpdates});
+    ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  }
+  EXPECT_EQ(Killed() - killed, si ? kUpdates : 0);
+  auto* tree = static_cast<BTreeIndex*>(accounts_->index(0))->tree();
+  auto under_key = tree->Lookup(IntKey(1), &clk_);
+  ASSERT_TRUE(under_key.ok());
+  EXPECT_EQ(under_key->size(), 1u);
+}
+
+// A snapshot held open keeps the horizon below every later write: probes
+// by newer snapshots must leave it every entry it needs, updated and
+// deleted rows alike. Once it ends, the next probes remove them.
+TEST_P(IndexKillTest, HeldSnapshotStillReachesEveryVersionItSees) {
+  Vid alice = InsertAccount(1, "alice", 1.0);
+  Vid bob = InsertAccount(2, "bob", 1.0);
+  auto held = db_->Begin(&clk_);
+  for (int i = 2; i <= 5; ++i) SetBalance(alice, 1, "alice", i);
+  DeleteAccount(bob);
+  ASSERT_TRUE(db_->Vacuum(&clk_).ok());
+  {
+    auto txn = db_->Begin(&clk_);
+    EXPECT_EQ(Lookup(txn.get(), 1), std::vector<double>{5.0});
+    EXPECT_TRUE(Lookup(txn.get(), 2).empty());
+    EXPECT_EQ(Range(txn.get()), std::vector<int64_t>{1});
+    ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  }
+  EXPECT_EQ(Lookup(held.get(), 1), std::vector<double>{1.0});
+  EXPECT_EQ(Lookup(held.get(), 2), std::vector<double>{1.0});
+  EXPECT_EQ(Range(held.get()), (std::vector<int64_t>{1, 2}));
+  ASSERT_TRUE(db_->Commit(held.get()).ok());
+
+  const int64_t killed = Killed();
+  {
+    auto txn = db_->Begin(&clk_);
+    EXPECT_EQ(Range(txn.get()), std::vector<int64_t>{1});
+    ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  }
+  // SI: alice's four superseded versions and bob's deleted one; SIAS: bob.
+  EXPECT_EQ(Killed() - killed, GetParam() == VersionScheme::kSi ? 5 : 1);
+  EXPECT_EQ(IdEntries(), 1u);
+}
+
+// A deleted row's entry survives while any snapshot could still see the
+// row, and the first range scan after its delete passes the horizon
+// removes it. An aborted insert's entry is dead at once.
+TEST_P(IndexKillTest, DeletedEntrySurvivesUntilBelowHorizonAbortedDiesAtOnce) {
+  for (int64_t id = 1; id <= 3; ++id) InsertAccount(id, "o", 1.0);
+  Vid doomed = InsertAccount(4, "o", 1.0);
+  const int64_t killed = Killed();
+  auto holder = db_->Begin(&clk_);  // predates the delete
+  DeleteAccount(doomed);
+  {
+    auto txn = db_->Begin(&clk_);
+    EXPECT_EQ(Range(txn.get()), (std::vector<int64_t>{1, 2, 3}));
+    ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  }
+  EXPECT_EQ(Killed(), killed);
+  EXPECT_EQ(IdEntries(), 4u);
+  ASSERT_TRUE(db_->Commit(holder.get()).ok());
+  {
+    auto txn = db_->Begin(&clk_);
+    EXPECT_EQ(Range(txn.get()), (std::vector<int64_t>{1, 2, 3}));
+    ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  }
+  EXPECT_EQ(Killed() - killed, 1);
+  EXPECT_EQ(IdEntries(), 3u);
+
+  {
+    auto txn = db_->Begin(&clk_);
+    ASSERT_TRUE(accounts_->Insert(txn.get(), Account(9, "o", 1.0)).ok());
+    ASSERT_TRUE(db_->Abort(txn.get()).ok());
+  }
+  auto busy = db_->Begin(&clk_);  // the horizon does not matter here
+  EXPECT_EQ(IdEntries(), 4u);
+  EXPECT_TRUE(Lookup(busy.get(), 9).empty());
+  EXPECT_EQ(Killed() - killed, 2);
+  EXPECT_EQ(IdEntries(), 3u);
+  ASSERT_TRUE(db_->Commit(busy.get()).ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSchemes, IndexKillTest,
+                         ::testing::Values(VersionScheme::kSi,
+                                           VersionScheme::kSiasChains,
+                                           VersionScheme::kSiasV),
+                         SchemeTestName);
+
 }  // namespace
 }  // namespace sias

@@ -891,6 +891,82 @@ TEST_P(ReadPathGoldenTest, ReadLoopAndScanFigures) {
   ASSERT_TRUE(env.txns_.Commit(fresh.get()).ok());
 }
 
+// An index-entry read runs Read's walk and takes its dead-item verdict from
+// the entrypoint header the walk holds anyway. On the same history it costs
+// exactly what Read costs: clock, version checks and page misses.
+TEST_P(ReadPathGoldenTest, IndexEntryReadCostsWhatReadCosts) {
+  constexpr int kItems = 200;
+  constexpr int kRounds = 3;
+  // Builds the history on a fresh engine and resolves every item under an
+  // old snapshot, then under one begun after it ended. Returns the figures
+  // the resolutions moved; `dead` counts the items judged dead.
+  auto run = [](bool index_entry, int* dead) {
+    TestEnv env(/*pool_frames=*/16, /*with_wal=*/true,
+                /*lock_timeout_ms=*/200, /*read_latency=*/50'000);
+    auto table = env.MakeTable(GetParam(), /*relation=*/1);
+    VirtualClock clk;
+    std::vector<Vid> vids;
+    {
+      auto t = env.txns_.Begin(&clk);
+      for (int i = 0; i < kItems; ++i) {
+        auto vid = table->Insert(t.get(), Slice(std::string(400, 'a')));
+        EXPECT_TRUE(vid.ok());
+        vids.push_back(*vid);
+      }
+      EXPECT_TRUE(env.txns_.Commit(t.get()).ok());
+    }
+    auto old_snap = env.txns_.Begin(&clk);
+    for (int round = 0; round < kRounds; ++round) {
+      auto t = env.txns_.Begin(&clk);
+      for (int i = 0; i < kItems; ++i) {
+        if (i % 10 == round) {
+          EXPECT_TRUE(table->Delete(t.get(), vids[i]).ok());
+        } else if (i % 10 >= kRounds && (i + round) % 3 == 0) {
+          EXPECT_TRUE(
+              table->Update(t.get(), vids[i], Slice(std::string(400, 'b')))
+                  .ok());
+        }
+      }
+      EXPECT_TRUE(env.txns_.Commit(t.get()).ok());
+    }
+    auto resolve_all = [&](Transaction* reader) {
+      for (size_t i = 0; i < vids.size(); ++i) {
+        Vid vid = vids[(i * 37) % vids.size()];
+        if (index_entry) {
+          ProbeHorizon horizon;
+          IndexEntryRead read;
+          EXPECT_TRUE(table->ReadIndexEntry(reader, vid, &horizon, &read).ok());
+          *dead += read.dead ? 1 : 0;
+        } else {
+          EXPECT_TRUE(table->Read(reader, vid).ok());
+        }
+      }
+    };
+    const ReadFigures before = Capture(clk, env.pool_);
+    resolve_all(old_snap.get());
+    EXPECT_TRUE(env.txns_.Commit(old_snap.get()).ok());
+    // A snapshot begun now sees the deletes below the GC horizon.
+    auto fresh = env.txns_.Begin(&clk);
+    resolve_all(fresh.get());
+    const ReadFigures after = Capture(clk, env.pool_);
+    EXPECT_TRUE(env.txns_.Commit(fresh.get()).ok());
+    return ReadFigures{after.clock - before.clock,
+                       after.visibility_checks - before.visibility_checks,
+                       after.version_hops - before.version_hops,
+                       after.read_misses - before.read_misses,
+                       after.depth_count - before.depth_count,
+                       after.depth_sum - before.depth_sum,
+                       after.buffer_misses - before.buffer_misses};
+  };
+  int dead = 0;
+  const ReadFigures read = run(/*index_entry=*/false, &dead);
+  const ReadFigures entry = run(/*index_entry=*/true, &dead);
+  ExpectDelta(ReadFigures{}, entry, read, "index-entry reads vs reads");
+  EXPECT_GT(read.buffer_misses, 0u);
+  // Only the fresh snapshot sees the deletes below the horizon.
+  EXPECT_EQ(dead, kRounds * kItems / 10);
+}
+
 // mvcc.read_latch_acquisitions counts version fetches that miss the
 // latch-free probe, batched reads included: zero over a warm pool, rising on
 // a cold one.
