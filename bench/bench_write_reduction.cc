@@ -46,6 +46,10 @@ struct SchemeRun {
   uint64_t tpcc_errors = 0;
   /// Vacuum passes that returned at once because another was in flight.
   int64_t vacuum_skipped = 0;
+  /// Reclaimed append pages whose frames were dropped unwritten, and
+  /// recycled pages formatted without a device read.
+  int64_t frames_discarded = 0;
+  int64_t pages_formatted = 0;
 };
 
 SchemeRun RunScheme(VersionScheme scheme, FlushPolicy policy,
@@ -114,8 +118,13 @@ SchemeRun RunScheme(VersionScheme scheme, FlushPolicy policy,
       (*exp)->data_device->stats().WriteAmplification();
   run.tpcc_errors = result->errors;
   obs::MetricsSnapshot metrics = (*exp)->db->DumpMetrics();
-  auto skipped = metrics.counters.find("db.vacuum.skipped");
-  if (skipped != metrics.counters.end()) run.vacuum_skipped = skipped->second;
+  auto counter = [&](const char* name) -> int64_t {
+    auto it = metrics.counters.find(name);
+    return it != metrics.counters.end() ? it->second : 0;
+  };
+  run.vacuum_skipped = counter("db.vacuum.skipped");
+  run.frames_discarded = counter("buffer.frames_discarded");
+  run.pages_formatted = counter("buffer.pages_formatted");
 
   std::map<std::string, double> numbers = TpccNumbers(*result);
   numbers["occupied_mb"] = run.occupied_mb;
@@ -210,6 +219,17 @@ int main(int argc, char** argv) {
          static_cast<long long>(t1.vacuum_skipped),
          static_cast<long long>(t2.vacuum_skipped),
          static_cast<long long>(sv.vacuum_skipped));
+  printf("Reclaimed pages dropped unwritten / recycled without a read: "
+         "SI=%lld/%lld SIAS-t1=%lld/%lld SIAS-t2=%lld/%lld "
+         "SIAS-V=%lld/%lld\n",
+         static_cast<long long>(si.frames_discarded),
+         static_cast<long long>(si.pages_formatted),
+         static_cast<long long>(t1.frames_discarded),
+         static_cast<long long>(t1.pages_formatted),
+         static_cast<long long>(t2.frames_discarded),
+         static_cast<long long>(t2.pages_formatted),
+         static_cast<long long>(sv.frames_discarded),
+         static_cast<long long>(sv.pages_formatted));
   printf("TPC-C errors (a leg with any did not complete): SI=%llu "
          "SIAS-t1=%llu SIAS-t2=%llu SIAS-V=%llu\n",
          static_cast<unsigned long long>(si.tpcc_errors),

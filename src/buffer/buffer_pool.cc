@@ -107,6 +107,8 @@ BufferPool::BufferPool(DiskManager* disk, size_t num_frames,
   m_misses_ = reg.GetCounter("buffer.misses");
   m_evictions_ = reg.GetCounter("buffer.evictions");
   m_writebacks_ = reg.GetCounter("buffer.writebacks");
+  m_discards_ = reg.GetCounter("buffer.frames_discarded");
+  m_formats_ = reg.GetCounter("buffer.pages_formatted");
 }
 
 BufferPool::~BufferPool() = default;
@@ -475,20 +477,65 @@ Result<PageGuard> BufferPool::NewPage(RelationId relation, VirtualClock* clk,
                                       uint32_t page_flags) {
   MutexLock lock(&mu_);
   SIAS_ASSIGN_OR_RETURN(PageNumber page_no, disk_->AllocatePage(relation));
+  return InstallEmptyLocked(PageId{relation, page_no}, clk, page_flags);
+}
+
+Result<PageGuard> BufferPool::FormatPage(PageId id, VirtualClock* clk,
+                                         uint32_t page_flags) {
+  MutexLock lock(&mu_);
+  auto g = InstallEmptyLocked(id, clk, page_flags);
+  if (g.ok()) m_formats_->Increment();
+  return g;
+}
+
+void BufferPool::DiscardPage(PageId id) {
+  for (;;) {
+    {
+      MutexLock lock(&mu_);
+      auto it = table_.find(id);
+      if (it == table_.end()) return;
+      const size_t idx = it->second;
+      Frame& f = frames_[idx];
+      // Eviction's exclusion against optimistic readers (see FindVictim):
+      // bump the stamp odd, then re-check pins.
+      if (f.pins.load(std::memory_order_seq_cst) == 0) {
+        f.stamp.fetch_add(1, std::memory_order_seq_cst);
+        if (f.pins.load(std::memory_order_seq_cst) == 0) {
+          f.tag.store(kNoTag, std::memory_order_seq_cst);
+          IndexErase(id, idx);
+          table_.erase(it);
+          FrameState& st = state_[idx];
+          st.valid = false;
+          st.sticky = false;
+          st.dirty.store(false, std::memory_order_release);
+          m_discards_->Increment();
+          return;
+        }
+        f.stamp.fetch_add(1, std::memory_order_seq_cst);  // back to stable
+      }
+    }
+    // A pin holder may need mu_ before it lets go: wait outside it.
+    std::this_thread::yield();
+  }
+}
+
+Result<PageGuard> BufferPool::InstallEmptyLocked(PageId id, VirtualClock* clk,
+                                                 uint32_t page_flags) {
   size_t idx;
-  auto existing = table_.find(PageId{relation, page_no});
+  auto existing = table_.find(id);
   if (existing != table_.end()) {
-    // The allocator handed out a page number that is still resident: redo
-    // re-extends a relation over a warm pool after the control block rolled
-    // the disk map back (a second Recover() on a live engine). Reuse that
-    // frame — victimizing a fresh one would leave the old frame published
-    // for lock-free readers under the same tag, and the two copies diverge.
+    // The page is still resident: redo re-extends a relation over a warm
+    // pool after the control block rolled the disk map back (a second
+    // Recover() on a live engine), or a recycled page was read back after
+    // its frame was discarded. Reuse that frame — victimizing a fresh one
+    // would leave the old frame published for lock-free readers under the
+    // same tag, and the two copies diverge.
     idx = existing->second;
     Frame& old = frames_[idx];
     old.stamp.fetch_add(1, std::memory_order_seq_cst);  // transitioning
-    // Only transient optimistic pins can exist here (recovery is
-    // single-threaded; no guard outlives its caller): they re-validate the
-    // stamp and unpin, so this drains promptly.
+    // Only transient optimistic pins can exist here (no guard on a dead
+    // page outlives its caller): they re-validate the stamp and unpin, so
+    // this drains promptly.
     SpinBackoff backoff;
     while (old.pins.load(std::memory_order_seq_cst) > 0) backoff.Pause();
     old.tag.store(kNoTag, std::memory_order_seq_cst);
@@ -501,8 +548,7 @@ Result<PageGuard> BufferPool::NewPage(RelationId relation, VirtualClock* clk,
   Frame& f = frames_[idx];
   FrameState& st = state_[idx];
   SlottedPage sp(f.data.get());
-  sp.Init(relation, page_no, page_flags);
-  PageId id{relation, page_no};
+  sp.Init(id.relation, id.page, page_flags);
   f.id = id;
   st.valid = true;
   st.dirty.store(true, std::memory_order_relaxed);

@@ -179,11 +179,22 @@ class BufferPool {
   Result<PageGuard> NewPage(RelationId relation, VirtualClock* clk,
                             uint32_t page_flags = 0);
 
+  /// NewPage for an existing page number: installs `id` freshly initialized
+  /// and dirty without reading the device, replacing any resident frame
+  /// (its transient pins are waited out). For pages whose old contents are
+  /// dead: a recycled append page, or one that redo re-opens.
+  Result<PageGuard> FormatPage(PageId id, VirtualClock* clk,
+                               uint32_t page_flags = 0);
+
+  /// Drops the frame of `id`, dirty or not, without writing it back: the
+  /// page's contents are dead (a GC-reclaimed append page). Waits out
+  /// transient pins. No-op if the page is not resident.
+  void DiscardPage(PageId id);
+
   /// Installs `image` (one full page) as the in-memory state of `id`
   /// without reading the device — recovery's torn-page restore. Extends the
   /// relation if the page was never durably allocated, skips the copy when
-  /// a resident frame already carries a newer LSN (un-logged GC
-  /// re-initializations must not be regressed), and leaves the frame dirty
+  /// a resident frame already carries a newer LSN, and leaves the frame dirty
   /// so the next flush rewrites the (possibly torn) durable copy. Only
   /// called from single-threaded recovery.
   Status RestorePage(PageId id, const uint8_t* image, VirtualClock* clk);
@@ -299,6 +310,10 @@ class BufferPool {
   /// the atomics directly). Entry = frame index + 1; 0 = empty.
   void IndexInsert(PageId id, size_t frame) SIAS_REQUIRES(mu_);
   void IndexErase(PageId id, size_t frame) SIAS_REQUIRES(mu_);
+  /// Installs `id` freshly initialized and dirty in a victim frame, or in
+  /// its resident frame if it has one (NewPage / FormatPage).
+  Result<PageGuard> InstallEmptyLocked(PageId id, VirtualClock* clk,
+                                       uint32_t page_flags) SIAS_REQUIRES(mu_);
   /// Installs a fetched/new page in frame `idx` for lock-free readers and
   /// re-evens the stamp (frame must be transitioning, i.e. stamp odd).
   void PublishFrame(size_t idx, PageId id) SIAS_REQUIRES(mu_);
@@ -331,6 +346,8 @@ class BufferPool {
   obs::Counter* m_misses_;
   obs::Counter* m_evictions_;
   obs::Counter* m_writebacks_;
+  obs::Counter* m_discards_;
+  obs::Counter* m_formats_;
 };
 
 }  // namespace sias

@@ -7,11 +7,18 @@
 // flush-threshold policy (paper §5.2): t1 = background-writer pass,
 // t2 = checkpoint piggyback. Pages freed by SIAS garbage collection are
 // recycled before new pages are allocated.
+//
+// A reclaimed page costs one small WAL record (kPageReclaim), never a page
+// write: its frame is dropped unwritten, the device trims it once the log
+// is durable past the record, and recycling formats a fresh frame without
+// reading the device. Every checkpoint logs the free list (kFreePages), so
+// recovery rebuilds it from the log.
 #pragma once
 
 #include <cstddef>
 #include <deque>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "buffer/buffer_pool.h"
@@ -78,8 +85,29 @@ class AppendRegion {
   /// The hint of `page`, if it has one (tests).
   std::optional<PageGcHint> GcHintForTest(PageNumber page) const;
 
-  /// Hands a GC-reclaimed page back for reuse.
-  void AddFreePage(PageNumber page);
+  /// Frees a GC-reclaimed page (the epoch-deferred wipe): logs a
+  /// kPageReclaim record, drops the page's frame without writing it and
+  /// queues the page for its trim. The trim waits until the log is durable
+  /// past the record — the inserts of the page's relocated versions come
+  /// before it — and the page is recycled only after its trim. Without a
+  /// WAL the trim is immediate.
+  Status Reclaim(PageNumber page);
+
+  /// True if `page` is free or awaiting its trim. Its device image is then
+  /// a dead generation (or zeros), which scans and GC must skip.
+  bool IsFree(PageNumber page) const;
+
+  /// Free pages, trimmed ones first, in recycle order.
+  std::vector<PageNumber> FreePages() const;
+
+  /// Logs FreePages() in a kFreePages record. Checkpoints call it right
+  /// after taking their redo LSN, so redo from there knows every free page.
+  Status LogFreePages();
+
+  /// Recovery: replaces the free list with `pages` (rebuilt from the log)
+  /// and drops their frames. Pages at or past the relation's end are left
+  /// out: growth allocates them again.
+  void RestoreFreePages(const std::vector<PageNumber>& pages);
 
   /// Seals the open page (used before clean shutdown and at the start of
   /// every GC pass). Returns a mark for OpenedSince: every page opened
@@ -95,6 +123,10 @@ class AppendRegion {
  private:
   Status OpenNewPageLocked(VirtualClock* clk) SIAS_REQUIRES(mu_);
   void BumpDeadLocked(PageNumber page) SIAS_REQUIRES(mu_);
+  /// Trims every queued page whose kPageReclaim record is durable and
+  /// moves it to the free list.
+  Status TrimDurableLocked() SIAS_REQUIRES(mu_);
+  std::vector<PageNumber> FreePagesLocked() const SIAS_REQUIRES(mu_);
 
   RelationId relation_;
   BufferPool* pool_;
@@ -104,11 +136,20 @@ class AppendRegion {
   /// WAL), so it sits below kPage in the order.
   mutable Mutex mu_{LatchRank::kAppendRegion};
   PageNumber open_page_ SIAS_GUARDED_BY(mu_) = kInvalidPageNumber;
+  /// True while the open page is a recycled one that has not taken its
+  /// first insert yet.
+  bool open_recycled_ SIAS_GUARDED_BY(mu_) = false;
+  /// Trimmed pages, ready for reuse.
   std::deque<PageNumber> free_pages_ SIAS_GUARDED_BY(mu_);
+  /// Reclaimed pages and the LSN of their kPageReclaim record, awaiting
+  /// the trim (see Reclaim).
+  std::deque<std::pair<PageNumber, Lsn>> untrimmed_ SIAS_GUARDED_BY(mu_);
   struct PageState {
     /// Value of stats_.pages_opened right after the page's latest open.
     uint64_t opened_at = 0;
     bool hinted = false;
+    /// On free_pages_ or untrimmed_.
+    bool free = false;
     PageGcHint hint;
   };
   /// Indexed by page number.

@@ -8,7 +8,6 @@
 #include "common/logging.h"
 #include "mvcc/epoch.h"
 #include "mvcc/visibility.h"
-#include "fault/debug_ring.h"
 #include "obs/metrics.h"
 #include "obs/op_trace.h"
 #include "obs/span.h"
@@ -583,6 +582,8 @@ Status SiasTable::FullRelationScan(Transaction* txn, const ScanCallback& cb) {
   auto count = env_.pool->disk()->PageCount(relation_);
   if (!count.ok()) return count.status();
   for (PageNumber p = 0; p < *count; ++p) {
+    // A free page's device image is a dead generation.
+    if (region_.IsFree(p)) continue;
     auto r = env_.pool->FetchPage(PageId{relation_, p}, txn->clock());
     if (!r.ok()) return r.status();
     PageGuard guard = std::move(*r);
@@ -643,6 +644,9 @@ Result<std::vector<Tid>> SiasTable::ChainOf(Vid vid, VirtualClock* clk) {
   Tid tid = map_.Get(vid);
   Xid newer_xmin = kInvalidXid;  // xmin of the previously visited version
   while (tid.valid()) {
+    // A link into a free page dangles: its device image is a dead
+    // generation (see LiveVersions).
+    if (!chain.empty() && region_.IsFree(tid.page)) break;
     TupleHeader h;
     Status s = FetchVersionReadPath(tid, clk, &h);
     if (!s.ok()) break;  // dangling tail: rest already reclaimed
@@ -884,6 +888,8 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
 
   for (PageNumber p = 0; p < *count; ++p) {
     if (region_.OpenedSince(p, sealed_at)) continue;  // still filling
+    // Free or awaiting its trim: nothing on it, whatever the device holds.
+    if (region_.IsFree(p)) continue;
     bool pending;
     {
       MutexLock g(&stats_mu_);
@@ -983,7 +989,13 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
           if (!s.ok()) continue;
           if (scheme_ == VersionScheme::kSiasChains) {
             auto rm = remap.find(h.pred().Pack());
-            if (h.pred().valid() && rm != remap.end()) {
+            if (it == live.rbegin()) {
+              // No snapshot needs a version older than the oldest live
+              // one, whose page may since have been reclaimed and
+              // recycled: a copy keeping the pointer could land on the
+              // very slot it names and point at itself. Cut the link.
+              h.set_pred(Tid{});
+            } else if (h.pred().valid() && rm != remap.end()) {
               h.set_pred(rm->second);
             }
           }
@@ -1096,42 +1108,14 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
           static_cast<int64_t>(slots.size() - live_on_page));
       Obs().gc_pages_reclaimed->Increment();
       EpochManager::Global().Retire([this, p] {
-        auto r = env_.pool->FetchPage(PageId{relation_, p}, nullptr);
-        if (r.ok()) {
-          PageGuard guard = std::move(*r);
-          guard.LatchExclusive();
-          SlottedPage page = guard.page();
-          for (uint16_t s = 0; s < page.slot_count(); ++s) {
-            if (!page.GetTuple(s).empty()) (void)page.DeleteTuple(s);
-          }
-          page.Init(relation_, p, kPageFlagAppendRegion);
-          // The reclaim itself is not WAL-logged, so the emptied image
-          // must outrank every record that filled the old generation:
-          // stamp it with the current WAL position. Redo then skips those
-          // stale inserts via the ordinary LSN gate (their live versions
-          // were relocated under WAL records of their own), instead of
-          // replaying them into a page that no longer holds them.
-          guard.MarkDirty(env_.wal != nullptr ? env_.wal->current_lsn()
-                                              : kInvalidLsn);
-          fault::DebugRingLog(
-              "gc_reclaim", relation_, p,
-              env_.wal != nullptr ? env_.wal->current_lsn() : 0);
-          guard.Release();
-          // §6: GC is deterministic and engine-driven; hint the FTL that
-          // the old physical blocks are dead so device GC need not
-          // relocate them ("transfers yet more control over the Flash
-          // storage into the MV-DBMS").
-          auto offset = env_.pool->disk()->PageOffset(relation_, p);
-          if (offset.ok()) {
-            (void)env_.pool->disk()->device()->Trim(*offset, kPageSize);
-          }
-          region_.AddFreePage(p);
-        }
+        // Logs the reclaim and drops the page's frame unwritten; the trim
+        // and the reuse follow once the log is durable (AppendRegion). On
+        // a failure the page is not freed, and the erase below lets the
+        // next GC cycle retry it (its map references are gone, so it
+        // classifies as fully dead again).
+        (void)region_.Reclaim(p);
         MutexLock g(&stats_mu_);
         gc_pending_.erase(p);
-        // On a failed fetch the page is neither wiped nor recycled; the
-        // erase above lets the next GC cycle retry it (its map references
-        // are gone, so it classifies as fully dead again).
       });
     }
     unlock_all();
@@ -1158,39 +1142,35 @@ TableStats SiasTable::stats() const {
 Status SiasTable::ApplyInsert(Tid tid, uint64_t vid_aux, Slice tuple,
                               Lsn lsn) {
   (void)vid_aux;
-  DiskManager* disk = env_.pool->disk();
-  auto count = disk->PageCount(relation_);
-  if (!count.ok()) return count.status();
-  while (*count <= tid.page) {
-    auto g = env_.pool->NewPage(relation_, nullptr, kPageFlagAppendRegion);
-    if (!g.ok()) return g.status();
-    count = disk->PageCount(relation_);
+  PageGuard guard;
+  if (tid.slot == 0) {
+    // After any (re)open an append page fills from slot 0, so a slot-0
+    // insert marks a (re)open: what the device holds for the page is a
+    // dead generation (trimmed, perhaps), or an image that this record
+    // and the ones after it rebuild. Format the page instead of reading
+    // it.
+    DiskManager* disk = env_.pool->disk();
+    auto count = disk->PageCount(relation_);
+    if (!count.ok()) return count.status();
+    for (PageNumber n = *count; n <= tid.page; ++n) {
+      SIAS_RETURN_NOT_OK(disk->AllocatePage(relation_).status());
+    }
+    auto r = env_.pool->FormatPage(PageId{relation_, tid.page}, nullptr,
+                                   kPageFlagAppendRegion);
+    if (!r.ok()) return r.status();
+    guard = std::move(*r);
+    guard.LatchExclusive();
+  } else {
+    auto r = env_.pool->FetchPage(PageId{relation_, tid.page}, nullptr);
+    if (!r.ok()) return r.status();
+    guard = std::move(*r);
+    guard.LatchExclusive();
+    if (guard.page().header()->lsn >= lsn) {
+      guard.Unlatch();
+      return Status::OK();
+    }
   }
-  auto r = env_.pool->FetchPage(PageId{relation_, tid.page}, nullptr);
-  if (!r.ok()) return r.status();
-  PageGuard guard = std::move(*r);
-  guard.LatchExclusive();
   SlottedPage page = guard.page();
-  if (page.header()->lsn >= lsn) {
-    guard.Unlatch();
-    return Status::OK();
-  }
-  // GC recycling re-Init()s an emptied append page without a WAL record of
-  // its own. An insert redo at slot 0 that is *newer* than the surviving
-  // page image (the LSN gate above already passed) can only mean the page
-  // was recycled in between — replay the re-initialization here, otherwise
-  // the old generation's slots shadow the new one's.
-  if (tid.slot == 0 && page.slot_count() > 0) {
-    page.Init(relation_, tid.page, kPageFlagAppendRegion);
-  }
-  // A page can be allocated in the disk map yet read back all-zero: the
-  // torn-page prepass re-extends a relation up to its newest full-page
-  // image, and a lower page whose only flush died in the device cache was
-  // never durably written. Its creating inserts are still ahead in the
-  // redo window — start them on a fresh page.
-  if (page.header()->lower == 0) {
-    page.Init(relation_, tid.page, kPageFlagAppendRegion);
-  }
   Status result = Status::OK();
   if (tid.slot < page.slot_count()) {
     result = page.OverwriteTuple(tid.slot, tuple);
@@ -1256,6 +1236,8 @@ Status SiasTable::RebuildMap() {
   std::unordered_map<Vid, std::vector<V>> items;
   Vid max_vid = 0;
   for (PageNumber p = 0; p < *count; ++p) {
+    // Free pages hold a dead generation (or zeros) on the device.
+    if (region_.IsFree(p)) continue;
     auto r = env_.pool->FetchPage(PageId{relation_, p}, nullptr);
     if (!r.ok()) return r.status();
     PageGuard guard = std::move(*r);

@@ -237,10 +237,10 @@ class SiasTable : public MvccTable {
   /// into TableStats by stats().
   std::atomic<uint64_t> reads_{0};
   std::atomic<uint64_t> read_version_hops_{0};
-  /// Pages whose physical wipe is queued behind the epoch
-  /// horizon. Skipped by GC page selection (they are already logically
-  /// empty — re-examining would double-reclaim) and recycled into the
-  /// append region only by the deferred callback itself.
+  /// Pages whose reclaim is queued behind the epoch horizon. Skipped by GC
+  /// page selection (they are already logically empty — re-examining would
+  /// double-reclaim) and handed to the append region only by the deferred
+  /// callback itself.
   std::unordered_set<PageNumber> gc_pending_ SIAS_GUARDED_BY(stats_mu_);
 };
 

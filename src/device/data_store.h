@@ -53,6 +53,27 @@ class DataStore {
     }
   }
 
+  /// Forgets the range, so it reads as zero again (TRIM). Chunks the range
+  /// covers whole are dropped; a partly covered chunk has that part zeroed.
+  void Erase(uint64_t offset, size_t len) {
+    MutexLock g(&mu_);
+    while (len > 0) {
+      uint64_t chunk = offset / kChunk;
+      size_t in_off = offset % kChunk;
+      size_t n = std::min(len, kChunk - in_off);
+      auto it = chunks_.find(chunk);
+      if (it != chunks_.end()) {
+        if (n == kChunk) {
+          chunks_.erase(it);
+        } else {
+          memset(it->second.get() + in_off, 0, n);
+        }
+      }
+      offset += n;
+      len -= n;
+    }
+  }
+
   /// Number of materialized 4 KB chunks (memory footprint probe).
   size_t chunk_count() const {
     MutexLock g(&mu_);

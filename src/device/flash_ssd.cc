@@ -142,6 +142,8 @@ Status FlashSsd::Write(uint64_t offset, size_t len, const uint8_t* data,
 Status FlashSsd::Trim(uint64_t offset, size_t len) {
   SIAS_RETURN_NOT_OK(CheckRange(offset, len));
   FlashCounters().trims->Increment();
+  // The unmapped range serves zeros, as a read of it costs no NAND op.
+  store_.Erase(offset, len);
   MutexLock g(&mu_);
   stats_.trim_ops++;
   uint64_t first = offset / config_.flash_page_size;

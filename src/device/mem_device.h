@@ -50,6 +50,13 @@ class MemDevice : public StorageDevice {
     return Status::OK();
   }
 
+  /// Trimmed bytes read back as zero, like a trimmed flash range.
+  Status Trim(uint64_t offset, size_t len) override {
+    SIAS_RETURN_NOT_OK(CheckRange(offset, len));
+    store_.Erase(offset, len);
+    return Status::OK();
+  }
+
   uint64_t capacity_bytes() const override { return capacity_; }
 
   DeviceStats stats() const override {

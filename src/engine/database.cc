@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <optional>
+#include <set>
 
 #include "common/coding.h"
 #include "common/crc32c.h"
@@ -277,6 +278,7 @@ Status Database::Checkpoint(VirtualClock* clk) {
   ckpt_queue_.clear();
   ckpt_active_ = false;
   Lsn checkpoint_lsn = wal_ != nullptr ? wal_->current_lsn() : 0;
+  SIAS_RETURN_NOT_OK(LogFreePages());
   SIAS_RETURN_NOT_OK(pool_->FlushAll(clk, FlushSource::kCheckpoint));
   if (wal_ != nullptr) {
     SIAS_RETURN_NOT_OK(wal_->FlushTo(wal_->current_lsn(), clk));
@@ -294,6 +296,7 @@ Status Database::StartPacedCheckpoint(VirtualClock* clk) {
   fault::DebugRingLog("ckpt_paced", wal_ != nullptr ? wal_->current_lsn() : 0);
   checkpoints_.fetch_add(1, std::memory_order_relaxed);
   pending_ckpt_lsn_ = wal_ != nullptr ? wal_->current_lsn() : 0;
+  SIAS_RETURN_NOT_OK(LogFreePages());
   ckpt_queue_.clear();
   for (const auto& info : pool_->DirtyPagesWithFlags(false)) {
     ckpt_queue_.push_back(info.id);
@@ -327,6 +330,19 @@ Status Database::DrainCheckpointLocked(VirtualClock* clk) {
     // it is declared: recovery must still replay from the previous one.
     SIAS_CRASH_POINT("ckpt.paced.pre_complete");
     SIAS_RETURN_NOT_OK(WriteControlBlock(pending_ckpt_lsn_, clk));
+  }
+  return Status::OK();
+}
+
+Status Database::LogFreePages() {
+  // Redo starts at the checkpoint's LSN, where only these records say which
+  // append pages are free: their device images are dead generations.
+  MutexLock cg(&catalog_mu_);
+  for (auto& [name, table] : tables_) {
+    if (table->scheme() != VersionScheme::kSi) {
+      SIAS_RETURN_NOT_OK(
+          static_cast<SiasTable*>(table->heap())->region().LogFreePages());
+    }
   }
   return Status::OK();
 }
@@ -484,7 +500,13 @@ Status Database::Recover(const RecoverOptions& ropts) {
   // that any torn in-place write left a durable image here, so after this
   // pass every page the redo loop touches reads clean — a checksum mismatch
   // that still surfaces is real, unrecoverable corruption and stays loud.
+  //
+  // The prepass also notes each append page's last reclaim in the window.
+  // Every earlier record and image of that page is moot: the page's live
+  // versions were relocated under records of their own, and its device
+  // image may already be trimmed.
   uint64_t pages_restored = 0;
+  std::unordered_map<PageId, Lsn> last_reclaim;
   {
     std::unordered_map<PageId, std::string> images;
     WalReader prepass(opts_.wal_device, 0, opts_.wal_limit_bytes, start_lsn);
@@ -493,11 +515,17 @@ Status Database::Recover(const RecoverOptions& ropts) {
       if (!rec.ok()) return rec.status();
       if (!rec->has_value()) break;
       WalRecord& r = **rec;
+      const PageId id{r.relation, r.tid.page};
+      if (r.type == WalRecordType::kPageReclaim) {
+        last_reclaim[id] = prepass.lsn();
+        images.erase(id);
+        continue;
+      }
       if (r.type != WalRecordType::kPageImage) continue;
       if (r.body.size() != kPageSize) {
         return Status::Corruption("page-image record of wrong size");
       }
-      images[PageId{r.relation, r.tid.page}] = std::move(r.body);
+      images[id] = std::move(r.body);
     }
     for (auto& [id, body] : images) {
       SIAS_RETURN_NOT_OK(pool_->RestorePage(
@@ -507,7 +535,10 @@ Status Database::Recover(const RecoverOptions& ropts) {
     }
   }
 
-  // 2b) Redo pass.
+  // 2b) Redo pass. It also rebuilds each append region's free list: the
+  // checkpoint's kFreePages record seeds it, a reclaim adds a page, and a
+  // slot-0 insert (the page's re-open) takes it off again.
+  std::unordered_map<RelationId, std::set<PageNumber>> free_pages;
   WalReader reader(opts_.wal_device, 0, opts_.wal_limit_bytes, start_lsn);
   Xid max_seen_xid = kFirstNormalXid;
   uint64_t records_replayed = 0;
@@ -532,6 +563,10 @@ Status Database::Recover(const RecoverOptions& ropts) {
         r.type == WalRecordType::kHeapSlotDelete) {
       skip_apply = heap_redo_index == ropts.skip_redo_record;
       heap_redo_index++;
+      auto reclaim = last_reclaim.find(PageId{r.relation, r.tid.page});
+      if (reclaim != last_reclaim.end() && reader.lsn() < reclaim->second) {
+        skip_apply = true;  // moot: the page is reclaimed later
+      }
     }
     if (skip_apply) continue;
     switch (r.type) {
@@ -550,6 +585,7 @@ Status Database::Recover(const RecoverOptions& ropts) {
         } else {
           SIAS_RETURN_NOT_OK(static_cast<SiasTable*>(it->second)->ApplyInsert(
               r.tid, r.aux, Slice(r.body), reader.lsn()));
+          if (r.tid.slot == 0) free_pages[r.relation].erase(r.tid.page);
         }
         break;
       }
@@ -585,9 +621,20 @@ Status Database::Recover(const RecoverOptions& ropts) {
       case WalRecordType::kIndexInsert:
         break;
       case WalRecordType::kPageImage:
-        // Applied by the prepass (newest image per page wins; older images
-        // must not regress un-logged GC re-initializations).
+        // Applied by the prepass (newest image per page wins).
         break;
+      case WalRecordType::kPageReclaim:
+        free_pages[r.relation].insert(r.tid.page);
+        break;
+      case WalRecordType::kFreePages: {
+        std::set<PageNumber>& free = free_pages[r.relation];
+        free.clear();
+        for (size_t off = 0; off + 4 <= r.body.size(); off += 4) {
+          free.insert(DecodeFixed32(
+              reinterpret_cast<const uint8_t*>(r.body.data()) + off));
+        }
+        break;
+      }
     }
   }
 
@@ -608,7 +655,8 @@ Status Database::Recover(const RecoverOptions& ropts) {
   }
 
   // 4) Rebuild in-memory access structures from the heap ("all information
-  // required for a reconstruction is stored on each tuple version", §6).
+  // required for a reconstruction is stored on each tuple version", §6),
+  // skipping the free append pages.
   auto recovery_txn = txns_.Begin(&clk);
   {
     MutexLock g(&catalog_mu_);
@@ -617,8 +665,11 @@ Status Database::Recover(const RecoverOptions& ropts) {
         SIAS_RETURN_NOT_OK(
             static_cast<SiHeap*>(table->heap())->RebuildLocators());
       } else {
-        SIAS_RETURN_NOT_OK(
-            static_cast<SiasTable*>(table->heap())->RebuildMap());
+        auto* sias = static_cast<SiasTable*>(table->heap());
+        const std::set<PageNumber>& free = free_pages[sias->relation()];
+        sias->region().RestoreFreePages(
+            std::vector<PageNumber>(free.begin(), free.end()));
+        SIAS_RETURN_NOT_OK(sias->RebuildMap());
       }
       SIAS_RETURN_NOT_OK(table->RebuildIndexes(recovery_txn.get(), &clk));
     }

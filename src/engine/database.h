@@ -174,6 +174,9 @@ class Database {
   /// write (torn control block) always leaves the previous slot intact.
   /// ReadControlBlock picks the highest-sequence slot with a valid CRC.
   Status WriteControlBlock(Lsn checkpoint_lsn, VirtualClock* clk);
+  /// Logs every append region's free pages; checkpoints call it right
+  /// after taking their redo LSN.
+  Status LogFreePages();
   Result<Lsn> ReadControlBlock();
 
   /// Sequence number of the last control block written; the next write

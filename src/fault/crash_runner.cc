@@ -97,11 +97,19 @@ Status CrashRunner::RunWorkload() {
     // Maintenance at fixed indices, so every maintenance crash point is
     // reachable inside a bounded workload.
     Status ms;
-    if (i == cfg_.txns / 3) {
-      ms = db_->Checkpoint(&clk_);
+    if (i == cfg_.txns / 15) {
+      // Seals the first append page early (t2 would keep it open), so a
+      // later vacuum finds it mostly dead.
+      ms = db_->Vacuum(&clk_);
+    } else if (i == cfg_.txns / 3) {
+      // Vacuum first, so the sharp checkpoint's redo point has free pages.
+      ms = db_->Vacuum(&clk_);
+      if (ms.ok()) ms = db_->Checkpoint(&clk_);
     } else if (i == cfg_.txns / 2) {
       ms = db_->StartPacedCheckpoint(&clk_);
-    } else if (i == 2 * cfg_.txns / 3) {
+    } else if (i == 2 * cfg_.txns / 3 || i == 5 * cfg_.txns / 6) {
+      // The second pass seals the page the first one's relocations opened,
+      // so the next append recycles a page the first one freed.
       ms = db_->Vacuum(&clk_);
     } else if (i % 8 == 5) {
       ms = db_->BgWriterPass(&clk_);
@@ -238,6 +246,22 @@ Status CrashRunner::CheckInvariants() {
     // down to its oldest surviving version.
     if (cfg_.scheme != VersionScheme::kSi) {
       auto* sias = static_cast<SiasTable*>(table_->heap());
+      // Invariant 6: no item references a free append page. A dead
+      // generation read back from one would show up exactly so.
+      const std::vector<PageNumber> free_list = sias->region().FreePages();
+      const std::set<PageNumber> free(free_list.begin(), free_list.end());
+      for (Vid vid = 0; vid < sias->vid_bound(); ++vid) {
+        auto chain = sias->ChainOf(vid, &clk_);
+        if (!chain.ok()) continue;  // invariant 4 judges visible items
+        for (Tid t : *chain) {
+          if (free.count(t.page) != 0) {
+            (void)db_->Abort(txn.get());
+            return violated("vid " + std::to_string(vid) +
+                            " references free page " +
+                            std::to_string(t.page));
+          }
+        }
+      }
       for (Vid vid : scanned_vids) {
         auto chain = sias->ChainOf(vid, &clk_);
         if (!chain.ok()) {

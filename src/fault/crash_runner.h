@@ -15,7 +15,9 @@
 //   3. index and heap agree (every scan row is index-reachable and vice
 //      versa);
 //   4. under SIAS, every visible item's version chain/vector resolves;
-//   5. the xid allocator is past every xid whose writer committed pre-crash.
+//   5. the xid allocator is past every xid whose writer committed pre-crash;
+//   6. under SIAS, no item's version chain/vector references a page on its
+//      append region's free list.
 //
 // Everything derives from CrashConfig::seed, so a failing scenario replays
 // bit-exactly (docs/FAULTS.md).

@@ -41,6 +41,16 @@ enum class WalRecordType : uint8_t {
   /// the log through this record before the page write is issued, every
   /// torn in-place write is covered by a durable image in the redo window.
   kPageImage = 8,
+  /// A SIAS append page (`relation`, `tid.page`) reclaimed by GC. Its live
+  /// versions were relocated under earlier records, so the page is free
+  /// from here on and every earlier record of it is moot. Its device image
+  /// is never rewritten: the page is trimmed once the log is durable past
+  /// this record.
+  kPageReclaim = 9,
+  /// The free pages of `relation`'s append region (reclaimed, trimmed or
+  /// awaiting the trim), logged by every checkpoint right after it takes
+  /// its redo LSN. `body` holds fixed32 page numbers.
+  kFreePages = 10,
 };
 
 /// One logical WAL record.

@@ -13,6 +13,7 @@
 #include "device/mem_device.h"
 #include "mvcc/tuple.h"
 #include "storage/disk_manager.h"
+#include "wal/wal.h"
 
 namespace sias {
 namespace {
@@ -271,12 +272,54 @@ TEST_F(AppendRegionTest, RecyclesFreedPages) {
     ASSERT_TRUE(region_.Append(Slice(tuple), 2, 1, &clk_).ok());
   }
   region_.SealOpenPage();
-  region_.AddFreePage(0);
+  ASSERT_TRUE(region_.Reclaim(0).ok());
   uint64_t recycled_before = region_.stats().pages_recycled;
   auto tid = region_.Append(Slice(tuple), 2, 1, &clk_);
   ASSERT_TRUE(tid.ok());
   EXPECT_EQ(tid->page, 0u);  // reused page 0
   EXPECT_EQ(region_.stats().pages_recycled, recycled_before + 1);
+}
+
+// WAL before trim: the device keeps a reclaimed page's old image until the
+// log is durable past its reclaim record. A page open that would otherwise
+// grow the relation flushes the log, trims the page and formats it afresh.
+TEST_F(AppendRegionTest, TrimWaitsForTheDurableReclaimRecord) {
+  MemDevice wal_device(64ull << 20);
+  WalWriter wal(&wal_device, 0, 64ull << 20);
+  ASSERT_TRUE(disk_.CreateRelation(2).ok());
+  AppendRegion region(2, &pool_, &wal);
+  std::string tuple = MakeTuple(3000);
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(region.Append(Slice(tuple), 2, 1, &clk_).ok());
+  }
+  region.SealOpenPage();
+  ASSERT_TRUE(pool_.FlushAll(&clk_).ok());
+  const uint64_t offset = *disk_.PageOffset(2, 0);
+  const std::vector<uint8_t> zeros(kPageSize, 0);
+  auto on_device = [&] {
+    std::vector<uint8_t> buf(kPageSize);
+    EXPECT_TRUE(device_.Read(offset, kPageSize, buf.data(), nullptr).ok());
+    return buf;
+  };
+  ASSERT_NE(on_device(), zeros);
+
+  ASSERT_TRUE(region.Reclaim(0).ok());
+  EXPECT_TRUE(region.IsFree(0));
+  EXPECT_EQ(region.FreePages(), std::vector<PageNumber>{0});
+  EXPECT_NE(on_device(), zeros);  // the reclaim record is not durable yet
+  const Lsn reclaimed_at = wal.current_lsn();
+  const PageNumber count = *disk_.PageCount(2);
+  const uint64_t reads = device_.stats().read_ops;
+
+  auto tid = region.Append(Slice(tuple), 2, 1, &clk_);
+  ASSERT_TRUE(tid.ok());
+  EXPECT_EQ(tid->page, 0u);
+  EXPECT_FALSE(region.IsFree(0));
+  EXPECT_TRUE(region.FreePages().empty());
+  EXPECT_EQ(*disk_.PageCount(2), count);
+  EXPECT_GE(wal.flushed_lsn(), reclaimed_at);
+  EXPECT_EQ(on_device(), zeros);  // trimmed; the new generation is in memory
+  EXPECT_EQ(device_.stats().read_ops, reads + 1);  // on_device() only
 }
 
 TEST_F(AppendRegionTest, OpenedSinceFlagsPagesOpenedAfterTheSeal) {
@@ -290,7 +333,7 @@ TEST_F(AppendRegionTest, OpenedSinceFlagsPagesOpenedAfterTheSeal) {
   EXPECT_FALSE(region_.OpenedSince(1, mark));
   EXPECT_FALSE(region_.OpenedSince(2, mark));
   // A page recycled after the seal is filling again, as is a fresh one.
-  region_.AddFreePage(0);
+  ASSERT_TRUE(region_.Reclaim(0).ok());
   auto recycled = region_.Append(Slice(tuple), 2, 1, &clk_);
   ASSERT_TRUE(recycled.ok());
   ASSERT_EQ(recycled->page, 0u);

@@ -200,10 +200,12 @@ TEST(CrashSabotage, SkippedRedoRecordIsCaught) {
   CrashConfig cfg;
   cfg.scheme = VersionScheme::kSiasChains;
   cfg.seed = 0x5AB07A6E;
-  // Cut before the first checkpoint: every heap record must come back
-  // through WAL redo, so skipping one is guaranteed to lose state.
+  // Cut before any heap page reaches the device (the first page is sealed
+  // by the early vacuum and written by the next background-writer pass):
+  // every heap record must come back through WAL redo, so skipping one is
+  // guaranteed to lose state.
   cfg.crash_point = "txn.commit.pre_flush";
-  cfg.nth = 20;
+  cfg.nth = 8;
   CrashRunner runner(cfg);
   ASSERT_TRUE(runner.RunWorkload().ok());
   ASSERT_TRUE(runner.report().crashed);
@@ -306,12 +308,14 @@ TEST(CrashXidReuse, ReadOnlyXidsReusedOnlyAboveEveryLoggedXid) {
 // ---------------------------------------------------------------------------
 
 // Seeds that once exposed real recovery bugs, pinned forever: un-logged GC
-// page reclaim/recycle shadowing redo (needs the WAL-LSN stamp on re-Init),
-// ChainOf walking a dangling anchor predecessor into a recycled page, and
-// torn in-place page writes (need the full-page-image prepass).
+// page reclaim/recycle shadowing redo (since replaced by logged reclaims),
+// ChainOf walking a dangling anchor predecessor into a recycled page, torn
+// in-place page writes (need the full-page-image prepass), and a relocated
+// chain anchor landing on the recycled slot its own dangling predecessor
+// named (a self-loop; GC now cuts the oldest live version's link).
 TEST(CrashFuzz, RegressionSeeds) {
   for (uint64_t seed : {20332078ull, 21332081ull, 26332096ull, 39260864ull,
-                        41260870ull, 46300480ull}) {
+                        41260870ull, 46300480ull, 4882522ull}) {
     SCOPED_TRACE("replay with SIAS_CRASH_SEED=" + std::to_string(seed) +
                  " SIAS_CRASH_ITERS=1");
     CrashConfig cfg;

@@ -147,6 +147,7 @@ TEST(FlashSsdTest, TrimUnmapsAndReadsZero) {
   std::vector<uint8_t> out(kPageSize, 0xaa);
   ASSERT_TRUE(ssd.Read(0, kPageSize, out.data(), &clk).ok());
   // Trimmed page has no mapping: the simulator serves zeros.
+  EXPECT_EQ(out, std::vector<uint8_t>(kPageSize, 0));
   EXPECT_TRUE(ssd.CheckFtlInvariants().ok());
 }
 

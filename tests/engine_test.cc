@@ -2,9 +2,13 @@
 // three schemes, maintenance policies, checkpointing and crash recovery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <set>
+#include <vector>
 
 #include "device/mem_device.h"
+#include "core/sias_table.h"
 #include "engine/database.h"
 #include "index/key_codec.h"
 #include "obs/metrics.h"
@@ -63,6 +67,10 @@ std::string SchemeTestName(
     if (c == '-') c = '_';
   }
   return n;
+}
+
+int64_t CounterValue(const char* name) {
+  return obs::MetricsRegistry::Default().GetCounter(name)->Value();
 }
 
 class EngineTest : public ::testing::TestWithParam<VersionScheme> {
@@ -404,7 +412,9 @@ TEST_P(GcHintRecoveryTest, FirstVacuumAfterRecoveryClassifiesEveryPage) {
 
   GcStats second;
   ASSERT_TRUE(db_->Vacuum(&clk_, &second).ok());
-  EXPECT_GE(second.pages_examined, first.pages_examined);
+  // Every page but the freed ones is visited again.
+  EXPECT_GE(second.pages_examined + first.pages_reclaimed,
+            first.pages_examined);
   EXPECT_EQ(second.pages_classified, 0u);
   EXPECT_EQ(second.pages_reclaimed, 0u);
 
@@ -423,11 +433,274 @@ INSTANTIATE_TEST_SUITE_P(SiasSchemes, GcHintRecoveryTest,
                                            VersionScheme::kSiasV),
                          SchemeTestName);
 
-// --- Read-only transactions commit and abort without the log ------------
+// --- Reclaimed append pages are logged and trimmed, never written --------
 
-int64_t CounterValue(const char* name) {
-  return obs::MetricsRegistry::Default().GetCounter(name)->Value();
+/// MemDevice that records which offsets it read and wrote, and counts
+/// writes of SIAS append pages with no slot.
+class RecordingDevice : public MemDevice {
+ public:
+  using MemDevice::MemDevice;
+
+  Status Read(uint64_t offset, size_t len, uint8_t* out,
+              VirtualClock* clk) override {
+    reads.insert(offset);
+    return MemDevice::Read(offset, len, out, clk);
+  }
+
+  Status Write(uint64_t offset, size_t len, const uint8_t* data,
+               VirtualClock* clk, bool background) override {
+    writes.insert(offset);
+    if (len == kPageSize) {
+      SlottedPage page(const_cast<uint8_t*>(data));
+      if ((page.header()->flags & kPageFlagAppendRegion) != 0 &&
+          page.slot_count() == 0) {
+        empty_append_writes++;
+      }
+    }
+    return MemDevice::Write(offset, len, data, clk, background);
+  }
+
+  std::set<uint64_t> reads;
+  std::set<uint64_t> writes;
+  int empty_append_writes = 0;
+};
+
+class ReclaimTest : public EngineTest {
+ protected:
+  void SetUp() override {
+    auto data = std::make_unique<RecordingDevice>(1ull << 30);
+    rec_ = data.get();
+    data_ = std::move(data);
+    wal_ = std::make_unique<MemDevice>(1ull << 30);
+    Reopen();
+  }
+
+  void TearDown() override {
+    // No data-page write carries an append page without a slot.
+    EXPECT_EQ(rec_->empty_append_writes, 0);
+  }
+
+  SiasTable* heap() { return static_cast<SiasTable*>(accounts_->heap()); }
+  RelationId relation() { return heap()->relation(); }
+  PageNumber PageCount() { return *db_->disk()->PageCount(relation()); }
+
+  /// 200 accounts; the first hundred churn three times, which leaves their
+  /// original pages and those of their intermediate versions all garbage.
+  void Churn() {
+    for (int i = 0; i < 200; ++i) {
+      vids_.push_back(InsertAccount(i, "owner" + std::to_string(i), 1.0));
+    }
+    for (int round = 1; round <= 3; ++round) {
+      for (int i = 0; i < 100; ++i) SetBalance(i, round);
+    }
+  }
+
+  void SetBalance(int i, double balance) {
+    auto txn = db_->Begin(&clk_);
+    ASSERT_TRUE(accounts_
+                    ->Update(txn.get(), vids_[i],
+                             Account(i, "owner" + std::to_string(i), balance))
+                    .ok());
+    ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  }
+
+  /// Device offsets of `pages`.
+  std::set<uint64_t> Offsets(const std::vector<PageNumber>& pages) {
+    std::set<uint64_t> out;
+    for (PageNumber p : pages) {
+      out.insert(*db_->disk()->PageOffset(relation(), p));
+    }
+    return out;
+  }
+
+  static bool Touches(const std::set<uint64_t>& io,
+                      const std::set<uint64_t>& offsets) {
+    for (uint64_t o : offsets) {
+      if (io.count(o) != 0) return true;
+    }
+    return false;
+  }
+
+  /// Every account reads its last balance through the id index.
+  void ExpectBalances(double churned) {
+    auto txn = db_->Begin(&clk_);
+    for (int i = 0; i < 200; ++i) {
+      auto hits = accounts_->IndexLookup(txn.get(), 0, IntKey(i));
+      ASSERT_TRUE(hits.ok());
+      ASSERT_EQ(hits->size(), 1u) << "id " << i;
+      EXPECT_DOUBLE_EQ(hits->at(0).second.GetDouble(2),
+                       i < 100 ? churned : 1.0);
+    }
+    ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  }
+
+  /// Updates churned accounts until every free page is back in use and
+  /// checks that the relation did not grow before. Returns the updates.
+  int ReuseFreePages(double balance) {
+    const PageNumber count = PageCount();
+    int updates = 0;
+    while (!heap()->region().FreePages().empty()) {
+      EXPECT_EQ(PageCount(), count) << "grew with free pages left";
+      SetBalance(updates % 100, balance);
+      updates++;
+      if (updates > 100000) break;
+    }
+    EXPECT_EQ(PageCount(), count);
+    return updates;
+  }
+
+  RecordingDevice* rec_ = nullptr;
+  std::vector<Vid> vids_;
+};
+
+// A reclaim costs a WAL record: the page's frame is dropped unwritten, so
+// neither a background-writer pass nor a checkpoint writes it, and
+// recycling formats a fresh frame, so reuse reads nothing back.
+TEST_P(ReclaimTest, ReclaimedPagesAreNeitherWrittenNorReadBack) {
+  Churn();
+  ASSERT_TRUE(db_->Checkpoint(&clk_).ok());
+  const int64_t discarded = CounterValue("buffer.frames_discarded");
+  GcStats gc;
+  ASSERT_TRUE(db_->Vacuum(&clk_, &gc).ok());
+  ASSERT_GT(gc.pages_reclaimed, 0u);
+  const std::vector<PageNumber> freed = heap()->region().FreePages();
+  ASSERT_EQ(freed.size(), gc.pages_reclaimed);
+  EXPECT_EQ(CounterValue("buffer.frames_discarded") - discarded,
+            static_cast<int64_t>(freed.size()));
+  const std::set<uint64_t> offsets = Offsets(freed);
+
+  rec_->writes.clear();
+  ASSERT_TRUE(db_->BgWriterPass(&clk_).ok());
+  ASSERT_TRUE(db_->Checkpoint(&clk_).ok());
+  EXPECT_FALSE(Touches(rec_->writes, offsets));
+
+  const uint64_t misses = db_->pool()->stats().misses;
+  const uint64_t reads = rec_->stats().read_ops;
+  const uint64_t recycled = heap()->append_stats().pages_recycled;
+  const int64_t formatted = CounterValue("buffer.pages_formatted");
+  ReuseFreePages(4.0);
+  EXPECT_EQ(heap()->append_stats().pages_recycled - recycled, freed.size());
+  EXPECT_EQ(CounterValue("buffer.pages_formatted") - formatted,
+            static_cast<int64_t>(freed.size()));
+  EXPECT_EQ(db_->pool()->stats().misses, misses);
+  EXPECT_EQ(rec_->stats().read_ops, reads);
+  EXPECT_FALSE(Touches(rec_->reads, offsets));
+
+  // The recycled pages' new generations reach the device as usual.
+  rec_->writes.clear();
+  ASSERT_TRUE(db_->Checkpoint(&clk_).ok());
+  EXPECT_TRUE(Touches(rec_->writes, offsets));
 }
+
+// Vacuum and the full-relation scan skip free pages: their device images
+// are dead generations.
+TEST_P(ReclaimTest, VacuumAndScanSkipFreePages) {
+  Churn();
+  GcStats first;
+  ASSERT_TRUE(db_->Vacuum(&clk_, &first).ok());
+  ASSERT_GT(first.pages_reclaimed, 0u);
+  const std::vector<PageNumber> freed = heap()->region().FreePages();
+  const std::set<uint64_t> offsets = Offsets(freed);
+
+  rec_->reads.clear();
+  GcStats second;
+  ASSERT_TRUE(db_->Vacuum(&clk_, &second).ok());
+  EXPECT_LE(second.pages_examined + freed.size(), PageCount());
+  EXPECT_EQ(second.pages_reclaimed, 0u);
+
+  auto txn = db_->Begin(&clk_);
+  int rows = 0;
+  ASSERT_TRUE(heap()
+                  ->FullRelationScan(txn.get(),
+                                     [&](Vid, Slice) {
+                                       rows++;
+                                       return true;
+                                     })
+                  .ok());
+  ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  EXPECT_EQ(rows, 200);
+  EXPECT_FALSE(Touches(rec_->reads, offsets));
+}
+
+// The free list survives a restart: a checkpoint logs it, and redo of the
+// reclaim records after the checkpoint adds to it. New versions reuse
+// every free page before the relation grows.
+TEST_P(ReclaimTest, FreePagesSurviveARestart) {
+  for (bool checkpoint_after_vacuum : {true, false}) {
+    SCOPED_TRACE(checkpoint_after_vacuum ? "logged by the checkpoint"
+                                         : "redone from reclaim records");
+    db_.reset();
+    SetUp();
+    vids_.clear();
+    Churn();
+    if (!checkpoint_after_vacuum) {
+      ASSERT_TRUE(db_->Checkpoint(&clk_).ok());
+    }
+    GcStats gc;
+    ASSERT_TRUE(db_->Vacuum(&clk_, &gc).ok());
+    ASSERT_GT(gc.pages_reclaimed, 0u);
+    std::vector<PageNumber> freed = heap()->region().FreePages();
+    if (checkpoint_after_vacuum) {
+      ASSERT_TRUE(db_->Checkpoint(&clk_).ok());
+    } else {
+      // A commit makes the reclaim records durable.
+      SetBalance(150, 1.0);
+      ASSERT_EQ(heap()->region().FreePages(), freed);
+    }
+    const PageNumber count = PageCount();
+
+    db_.reset();  // crash
+    Reopen();
+    ASSERT_TRUE(db_->Recover().ok());
+    std::vector<PageNumber> restored = heap()->region().FreePages();
+    std::sort(freed.begin(), freed.end());
+    EXPECT_EQ(restored, freed);
+    EXPECT_EQ(PageCount(), count);
+    ExpectBalances(3.0);
+
+    const uint64_t recycled = heap()->append_stats().pages_recycled;
+    ReuseFreePages(5.0);
+    EXPECT_EQ(heap()->append_stats().pages_recycled - recycled, freed.size());
+    EXPECT_EQ(rec_->empty_append_writes, 0);
+  }
+}
+
+// A page that was open across the checkpoint, then reclaimed, trimmed and
+// recycled: redo must not replay the inserts of its old generation that
+// follow the checkpoint, since the device no longer holds the slots before
+// them. They are moot — the page's last reclaim follows them in the log.
+TEST_P(ReclaimTest, RedoSkipsRecordsOfAPageReclaimedLater) {
+  for (int i = 0; i < 100; ++i) {
+    vids_.push_back(InsertAccount(i, "owner" + std::to_string(i), 1.0));
+  }
+  ASSERT_TRUE(db_->Checkpoint(&clk_).ok());  // the open page goes out part-full
+  for (int round = 1; round <= 4; ++round) {
+    for (int i = 0; i < 100; ++i) SetBalance(i, round);
+  }
+  GcStats gc;
+  ASSERT_TRUE(db_->Vacuum(&clk_, &gc).ok());
+  ASSERT_GT(gc.pages_reclaimed, 0u);
+  ReuseFreePages(5.0);  // trims and recycles every freed page
+
+  db_.reset();  // crash
+  Reopen();
+  Status s = db_->Recover();
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  auto txn = db_->Begin(&clk_);
+  for (int i = 0; i < 100; ++i) {
+    auto hits = accounts_->IndexLookup(txn.get(), 0, IntKey(i));
+    ASSERT_TRUE(hits.ok());
+    ASSERT_EQ(hits->size(), 1u) << "id " << i;
+  }
+  ASSERT_TRUE(db_->Commit(txn.get()).ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(SiasSchemes, ReclaimTest,
+                         ::testing::Values(VersionScheme::kSiasChains,
+                                           VersionScheme::kSiasV),
+                         SchemeTestName);
+
+// --- Read-only transactions commit and abort without the log ------------
 
 /// Everything the log and the clock would show of one commit or abort.
 struct LogMark {
