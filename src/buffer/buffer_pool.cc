@@ -10,7 +10,6 @@
 #include "fault/crash_point.h"
 #include "fault/debug_ring.h"
 #include "fault/retry.h"
-#include "obs/op_trace.h"
 #include "obs/span.h"
 
 namespace sias {
@@ -604,7 +603,6 @@ Status BufferPool::RestorePage(PageId id, const uint8_t* image,
 
 Status BufferPool::FlushPage(PageId id, VirtualClock* clk,
                              FlushSource source) {
-  TRACE_OP("buffer", "flush_page");
   // An in-flight page writer (exclusive latch holder) makes the frame
   // transiently busy; retry outside mu_ — latches are held for microseconds.
   for (;;) {

@@ -9,7 +9,6 @@
 #include "mvcc/epoch.h"
 #include "mvcc/visibility.h"
 #include "obs/metrics.h"
-#include "obs/op_trace.h"
 #include "obs/span.h"
 
 namespace sias {
@@ -476,7 +475,6 @@ Result<Tid> SiasTable::AppendAndInstall(Transaction* txn, Vid vid,
 }
 
 Status SiasTable::Update(Transaction* txn, Vid vid, Slice row, Tid* new_tid) {
-  TRACE_OP("mvcc", "sias_update");
   // Algorithm 3: lock (first-updater-wins), validate entrypoint, append.
   SIAS_RETURN_NOT_OK(env_.txns->locks()->AcquireExclusive(
       relation_, vid, txn->xid(), txn->clock()));
@@ -526,7 +524,6 @@ Status SiasTable::Delete(Transaction* txn, Vid vid) {
 
 Result<std::optional<std::string>> SiasTable::Read(Transaction* txn,
                                                    Vid vid) {
-  TRACE_OP("mvcc", "sias_read");
   reads_.fetch_add(1, std::memory_order_relaxed);
   Obs().reads->Increment();
   std::optional<std::string> row;
@@ -536,7 +533,6 @@ Result<std::optional<std::string>> SiasTable::Read(Transaction* txn,
 
 Status SiasTable::ReadIndexEntry(Transaction* txn, uint64_t value,
                                  ProbeHorizon* horizon, IndexEntryRead* out) {
-  TRACE_OP("mvcc", "sias_read");
   reads_.fetch_add(1, std::memory_order_relaxed);
   Obs().reads->Increment();
   out->vid = value;
@@ -546,7 +542,6 @@ Status SiasTable::ReadIndexEntry(Transaction* txn, uint64_t value,
 Status SiasTable::ReadMulti(Transaction* txn, const std::vector<Vid>& vids,
                             size_t io_depth,
                             std::vector<std::optional<std::string>>* rows) {
-  TRACE_OP("mvcc", "sias_read_multi");
   obs::SpanScope trav_span(obs::SpanPhase::kTraversal, "mvcc", "read_multi",
                            vids.size());
   reads_.fetch_add(vids.size(), std::memory_order_relaxed);

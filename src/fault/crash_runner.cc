@@ -425,17 +425,17 @@ Status CrashRunner::CheckInvariants() {
 CrashReport CrashRunner::report() const {
   CrashReport r = report_;
   r.crashed = injector_.power_cut();
-  r.seen_points = injector_.seen_crash_points();
   return r;
 }
 
-Result<std::vector<std::string>> DiscoverCrashPoints(CrashConfig cfg) {
+Result<std::map<std::string, uint64_t>> DiscoverCrashPoints(
+    CrashConfig cfg) {
   cfg.record_only = true;
   cfg.crash_point.clear();
   cfg.extra_rules.clear();
   CrashRunner runner(cfg);
   SIAS_RETURN_NOT_OK(runner.RunWorkload());
-  return runner.injector()->seen_crash_points();
+  return runner.injector()->crash_point_hits();
 }
 
 }  // namespace fault

@@ -76,7 +76,6 @@ struct CrashReport {
   int committed = 0;     ///< transactions whose Commit returned OK
   int aborted = 0;       ///< transactions the workload aborted on purpose
   int uncertain = 0;     ///< Commits that raced the cut (outcome unknown)
-  std::vector<std::string> seen_points;  ///< crash points reached
 };
 
 class CrashRunner {
@@ -133,8 +132,9 @@ class CrashRunner {
 };
 
 /// Runs the full workload with a record-only injector and returns every
-/// crash point it reached (sorted). The crash-matrix test sweeps these.
-Result<std::vector<std::string>> DiscoverCrashPoints(CrashConfig cfg);
+/// crash point it reached, by name, with the number of times it was hit.
+/// The crash-matrix test sweeps these.
+Result<std::map<std::string, uint64_t>> DiscoverCrashPoints(CrashConfig cfg);
 
 }  // namespace fault
 }  // namespace sias

@@ -66,9 +66,9 @@ bool FaultInjector::armed() const {
   return internal::g_armed_injector.load(std::memory_order_relaxed) == this;
 }
 
-std::vector<std::string> FaultInjector::seen_crash_points() const {
+std::map<std::string, uint64_t> FaultInjector::crash_point_hits() const {
   MutexLock g(&mu_);
-  return std::vector<std::string>(seen_points_.begin(), seen_points_.end());
+  return crash_point_hits_;
 }
 
 bool FaultInjector::RuleFires(RuleState& rs) {
@@ -90,7 +90,7 @@ Status FaultInjector::OnCrashPoint(const char* name) {
   bool tear = false;
   {
     MutexLock g(&mu_);
-    seen_points_.insert(name);
+    crash_point_hits_[name]++;
     if (record_only_.load(std::memory_order_relaxed)) return Status::OK();
     bool fired = false;
     for (RuleState& rs : rules_) {

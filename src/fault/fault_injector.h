@@ -22,8 +22,8 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -136,8 +136,8 @@ class FaultInjector {
   /// True once a power cut has fired.
   bool power_cut() const { return power_cut_.load(std::memory_order_acquire); }
 
-  /// Crash-point names this injector has seen, sorted.
-  std::vector<std::string> seen_crash_points() const;
+  /// Every crash point this injector has seen, by name, with its hit count.
+  std::map<std::string, uint64_t> crash_point_hits() const;
 
   /// Cuts power on every registered FaultyDevice (see class comment). With
   /// `tear`, each device may tear its first dropped write mid-sector.
@@ -183,7 +183,7 @@ class FaultInjector {
   Random rng_ SIAS_GUARDED_BY(mu_);
   std::vector<RuleState> rules_ SIAS_GUARDED_BY(mu_);
   std::vector<FaultyDevice*> devices_ SIAS_GUARDED_BY(mu_);
-  std::set<std::string> seen_points_ SIAS_GUARDED_BY(mu_);
+  std::map<std::string, uint64_t> crash_point_hits_ SIAS_GUARDED_BY(mu_);
 
   obs::Counter* m_crash_point_hits_;
   obs::Counter* m_power_cuts_;

@@ -6,7 +6,6 @@
 #include "buffer/fetch_tasks.h"
 #include "common/coding.h"
 #include "common/logging.h"
-#include "obs/op_trace.h"
 #include "storage/page.h"
 
 namespace sias {
@@ -241,7 +240,6 @@ Status BTree::Insert(Slice key, uint64_t value, VirtualClock* clk) {
 
 Status BTree::SplitAndInsert(PageGuard leaf, std::vector<PageNumber> path,
                              Slice key, uint64_t value, VirtualClock* clk) {
-  TRACE_OP("index", "leaf_split");
   // leaf is exclusively latched. Allocate the right sibling.
   auto ng = pool_->NewPage(relation_, clk);
   if (!ng.ok()) {
@@ -293,7 +291,6 @@ Status BTree::SplitAndInsert(PageGuard leaf, std::vector<PageNumber> path,
   while (true) {
     if (path.empty()) {
       // Split reached the root: grow the tree.
-      TRACE_OP("index", "root_grow");
       auto rg = pool_->NewPage(relation_, clk);
       if (!rg.ok()) return rg.status();
       PageGuard root_guard = std::move(*rg);
@@ -327,7 +324,6 @@ Status BTree::SplitAndInsert(PageGuard leaf, std::vector<PageNumber> path,
       return Status::OK();
     }
     // Split the internal node.
-    TRACE_OP("index", "internal_split");
     auto ig = pool_->NewPage(relation_, clk);
     if (!ig.ok()) {
       parent.Unlatch();
@@ -430,7 +426,6 @@ Status BTree::Range(Slice lo, Slice hi, VirtualClock* clk,
 Status BTree::ScanMulti(const std::vector<ScanRange>& ranges,
                         size_t io_depth, VirtualClock* clk,
                         const ScanMultiCallback& cb) {
-  TRACE_OP("index", "scan_multi");
   ReadLock lock(&tree_latch_);
   std::vector<ScanTask> tasks(ranges.size());
   for (size_t i = 0; i < ranges.size(); ++i) {

@@ -1,11 +1,11 @@
 #include "mvcc/si_heap.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.h"
 #include "mvcc/visibility.h"
 #include "obs/metrics.h"
-#include "obs/op_trace.h"
 #include "obs/span.h"
 
 namespace sias {
@@ -158,7 +158,6 @@ Status SiHeap::FetchVersion(Tid tid, VirtualClock* clk, TupleHeader* header,
 }
 
 Result<std::optional<std::string>> SiHeap::Read(Transaction* txn, Vid vid) {
-  TRACE_OP("mvcc", "si_read");
   obs::SpanScope trav_span(obs::SpanPhase::kTraversal, "mvcc", "si_read", vid);
   std::vector<Tid> candidates;
   {
@@ -305,7 +304,6 @@ Status SiHeap::StampXmax(Transaction* txn, Tid tid, Xid xmax) {
 }
 
 Status SiHeap::Update(Transaction* txn, Vid vid, Slice row, Tid* new_tid) {
-  TRACE_OP("mvcc", "si_update");
   SIAS_RETURN_NOT_OK(env_.txns->locks()->AcquireExclusive(
       relation_, vid, txn->xid(), txn->clock()));
   txn->AddLock(relation_, vid);
@@ -584,7 +582,13 @@ Status SiHeap::RebuildLocators() {
   // today, but it shares the latch discipline with steady-state code.
   auto count = env_.pool->disk()->PageCount(relation_);
   if (!count.ok()) return count.status();
-  std::unordered_map<Vid, std::vector<Tid>> rebuilt;
+  // Per version: its tid and its sort key (xmin, then whether the creating
+  // transaction left it live, see below).
+  struct Located {
+    Tid tid;
+    std::pair<Xid, bool> order;
+  };
+  std::unordered_map<Vid, std::vector<Located>> found;
   Vid max_vid = 0;
   std::vector<uint16_t> free_bytes(*count, 0);
   for (PageNumber p = 0; p < *count; ++p) {
@@ -598,24 +602,30 @@ Status SiHeap::RebuildLocators() {
       if (tuple.empty()) continue;
       TupleHeader h;
       if (!DecodeTupleHeader(tuple, &h)) continue;
-      rebuilt[h.vid].push_back(Tid{p, s});
+      found[h.vid].push_back(Located{Tid{p, s}, {h.xmin, h.xmax != h.xmin}});
       max_vid = std::max(max_vid, h.vid + 1);
     }
     free_bytes[p] = static_cast<uint16_t>(
         std::min<size_t>(page.FreeSpace(), 0xffff));
     guard.Unlatch();
   }
-  // Order each item's versions chronologically (xmin ascending) so that
-  // newest-first iteration remains correct after rebuild. FetchVersion
-  // latches pages, so this too stays outside the member mutexes.
-  for (auto& [vid, tids] : rebuilt) {
-    std::sort(tids.begin(), tids.end(), [&](const Tid& a, const Tid& b) {
-      TupleHeader ha, hb;
-      Status sa = FetchVersion(a, nullptr, &ha);
-      Status sb = FetchVersion(b, nullptr, &hb);
-      if (!sa.ok() || !sb.ok()) return a.Pack() < b.Pack();
-      return ha.xmin < hb.xmin;
-    });
+  // Order each item's versions so that newest-first iteration remains
+  // correct after rebuild. Writers of one item follow each other in xid
+  // order (first-updater-wins), so sort by xmin. A transaction that updated
+  // the item more than once left several versions with its xmin, all but
+  // the last invalidated by itself (xmax == xmin); that last one must sort
+  // after them. Page order cannot tell, since placement may wrap around to
+  // a lower page, and the order among the self-invalidated ones matters to
+  // no reader: none is visible to any later snapshot.
+  std::unordered_map<Vid, std::vector<Tid>> rebuilt;
+  for (auto& [vid, versions] : found) {
+    std::sort(versions.begin(), versions.end(),
+              [](const Located& a, const Located& b) {
+                return a.order < b.order;
+              });
+    std::vector<Tid>& tids = rebuilt[vid];
+    tids.reserve(versions.size());
+    for (const Located& v : versions) tids.push_back(v.tid);
   }
   {
     MutexLock g(&map_mu_);

@@ -136,10 +136,6 @@ SpanScope::~SpanScope() {
   st->depth--;
 }
 
-void SpanScope::set_wait_tag(uint64_t tag) {
-  if (active_ && rec_ >= 0) tls_span.records[rec_].wait_tag = tag;
-}
-
 void SpanScope::set_name(const char* name) {
   if (active_ && rec_ >= 0) tls_span.records[rec_].name = name;
 }
@@ -285,8 +281,8 @@ std::string SpanAggregator::ExemplarsToChromeTraceJson() const {
       const SpanRecord& r = ex.records[i];
       if (!first) out += ',';
       first = false;
-      // Same "X"-event shape as OpTracer::ToChromeTraceJson (virtual µs);
-      // each exemplar gets its own tid so its tree renders as one track.
+      // One complete ("X") event per span, in virtual µs; each exemplar
+      // gets its own tid so its tree renders as one track.
       snprintf(buf, sizeof(buf),
                "{\"ph\":\"X\",\"cat\":\"%s\",\"name\":\"%s\",\"ts\":%.3f,"
                "\"dur\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{\"phase\":\"%s\","

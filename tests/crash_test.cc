@@ -63,19 +63,21 @@ TEST_P(CrashMatrixTest, EveryCrashPointRecovers) {
   ASSERT_GE(points->size(), 12u)
       << "the workload must reach at least 12 distinct crash points";
 
-  for (const std::string& point : *points) {
+  for (const auto& [point, hits] : *points) {
     SCOPED_TRACE("crash point: " + point);
     CrashConfig cfg = base;
     cfg.crash_point = point;
-    // Cut at a later hit for the hot points so real state has accumulated.
-    cfg.nth = (point.rfind("wal.", 0) == 0 || point.rfind("txn.", 0) == 0 ||
-               point.rfind("region.", 0) == 0)
-                  ? 17
-                  : 1;
+    // Cut at a later hit for the hot points so real state has accumulated,
+    // but never past the last hit: every discovered point is cut.
+    const bool hot = point.rfind("wal.", 0) == 0 ||
+                     point.rfind("txn.", 0) == 0 ||
+                     point.rfind("region.", 0) == 0;
+    cfg.nth = std::min<uint64_t>(hot ? 17 : 1, hits);
     CrashRunner runner(cfg);
     Status s = runner.RunWorkload();
     ASSERT_TRUE(s.ok()) << s.ToString();
-    if (!runner.report().crashed) continue;  // nth beyond the hit count
+    ASSERT_TRUE(runner.report().crashed)
+        << "no cut at hit " << cfg.nth << " of " << hits;
     s = runner.ReopenAndRecover();
     ASSERT_TRUE(s.ok()) << s.ToString();
     s = runner.CheckInvariants();
@@ -112,7 +114,7 @@ TEST(CrashMatrix, MvPbtPartitionFlushCuts) {
     auto points = DiscoverCrashPoints(base);
     ASSERT_TRUE(points.ok()) << points.status().ToString();
     std::vector<std::string> mvpbt_points;
-    for (const std::string& p : *points) {
+    for (const auto& [p, hits] : *points) {
       if (p.rfind("mvpbt.", 0) == 0) mvpbt_points.push_back(p);
     }
     ASSERT_GE(mvpbt_points.size(), 2u)
