@@ -27,6 +27,8 @@
 // Usage: bench_write_reduction [warehouses] [base_window_vsec] [device_mb]
 //                              [--metrics-out=<file>]
 #include <cstdlib>
+#include <string>
+#include <utility>
 
 #include "bench/bench_common.h"
 
@@ -50,7 +52,28 @@ struct SchemeRun {
   /// recycled pages formatted without a device read.
   int64_t frames_discarded = 0;
   int64_t pages_formatted = 0;
+  /// Virtual ms that Database::Tick charged the terminals, per task.
+  double vstall_ms_bgwriter = 0;
+  double vstall_ms_checkpoint = 0;
+  double vstall_ms_vacuum = 0;
+  /// Page writebacks in the window by source, append-region pages apart
+  /// from in-place (heap, index) pages.
+  uint64_t writebacks[4] = {0, 0, 0, 0};
+  uint64_t append_writebacks[4] = {0, 0, 0, 0};
 };
+
+/// The writeback sources a TPC-C run has (no explicit flushes).
+constexpr std::pair<FlushSource, const char*> kWritebackSources[] = {
+    {FlushSource::kBackgroundWriter, "bgwriter"},
+    {FlushSource::kCheckpoint, "checkpoint"},
+    {FlushSource::kEviction, "eviction"}};
+
+/// Writebacks of one source as "append+in-place".
+std::string WritebackSplit(const SchemeRun& r, FlushSource source) {
+  const int i = static_cast<int>(source);
+  return std::to_string(r.append_writebacks[i]) + "+" +
+         std::to_string(r.writebacks[i] - r.append_writebacks[i]);
+}
 
 SchemeRun RunScheme(VersionScheme scheme, FlushPolicy policy,
                     const char* variant, int warehouses,
@@ -90,6 +113,7 @@ SchemeRun RunScheme(VersionScheme scheme, FlushPolicy policy,
   auto exp = Setup(std::move(cfg));
   SIAS_CHECK_MSG(exp.ok(), "setup failed: %s",
                  exp.status().ToString().c_str());
+  const BufferPoolStats pool_before = (*exp)->db->pool()->stats();
   auto result = (*exp)->Run();
   SIAS_CHECK_MSG(result.ok(), "run failed: %s",
                  result.status().ToString().c_str());
@@ -125,10 +149,33 @@ SchemeRun RunScheme(VersionScheme scheme, FlushPolicy policy,
   run.vacuum_skipped = counter("db.vacuum.skipped");
   run.frames_discarded = counter("buffer.frames_discarded");
   run.pages_formatted = counter("buffer.pages_formatted");
+  run.vstall_ms_bgwriter =
+      static_cast<double>(counter("db.tick.vstall_ns.bgwriter")) /
+      kVMillisecond;
+  run.vstall_ms_checkpoint =
+      static_cast<double>(counter("db.tick.vstall_ns.checkpoint")) /
+      kVMillisecond;
+  run.vstall_ms_vacuum =
+      static_cast<double>(counter("db.tick.vstall_ns.vacuum")) /
+      kVMillisecond;
+  const BufferPoolStats pool_after = (*exp)->db->pool()->stats();
+  for (int i = 0; i < 4; ++i) {
+    run.writebacks[i] =
+        pool_after.flushes_by_source[i] - pool_before.flushes_by_source[i];
+    run.append_writebacks[i] = pool_after.append_flushes_by_source[i] -
+                               pool_before.append_flushes_by_source[i];
+  }
 
   std::map<std::string, double> numbers = TpccNumbers(*result);
   numbers["occupied_mb"] = run.occupied_mb;
   numbers["tpcc_errors"] = static_cast<double>(run.tpcc_errors);
+  for (const auto& [source, name] : kWritebackSources) {
+    const int i = static_cast<int>(source);
+    numbers[std::string("writebacks_append_") + name] =
+        static_cast<double>(run.append_writebacks[i]);
+    numbers[std::string("writebacks_inplace_") + name] =
+        static_cast<double>(run.writebacks[i] - run.append_writebacks[i]);
+  }
   // Scale-free comparison point: the schemes complete different transaction
   // counts in the same window, so the baseline checks gate on volume per
   // 1000 committed transactions rather than per window.
@@ -230,6 +277,21 @@ int main(int argc, char** argv) {
          static_cast<long long>(t2.pages_formatted),
          static_cast<long long>(sv.frames_discarded),
          static_cast<long long>(sv.pages_formatted));
+  printf("Tick stall, virtual ms bgwriter/checkpoint/vacuum: "
+         "SI=%.0f/%.0f/%.0f SIAS-t1=%.0f/%.0f/%.0f SIAS-t2=%.0f/%.0f/%.0f "
+         "SIAS-V=%.0f/%.0f/%.0f\n",
+         si.vstall_ms_bgwriter, si.vstall_ms_checkpoint, si.vstall_ms_vacuum,
+         t1.vstall_ms_bgwriter, t1.vstall_ms_checkpoint, t1.vstall_ms_vacuum,
+         t2.vstall_ms_bgwriter, t2.vstall_ms_checkpoint, t2.vstall_ms_vacuum,
+         sv.vstall_ms_bgwriter, sv.vstall_ms_checkpoint, sv.vstall_ms_vacuum);
+  printf("Page writebacks, append+in-place pages:\n");
+  for (const auto& [source, name] : kWritebackSources) {
+    printf("  %-10s SI=%s SIAS-t1=%s SIAS-t2=%s SIAS-V=%s\n", name,
+           WritebackSplit(si, source).c_str(),
+           WritebackSplit(t1, source).c_str(),
+           WritebackSplit(t2, source).c_str(),
+           WritebackSplit(sv, source).c_str());
+  }
   printf("TPC-C errors (a leg with any did not complete): SI=%llu "
          "SIAS-t1=%llu SIAS-t2=%llu SIAS-V=%llu\n",
          static_cast<unsigned long long>(si.tpcc_errors),

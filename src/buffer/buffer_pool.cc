@@ -251,6 +251,10 @@ Status BufferPool::WriteFrame(size_t idx, VirtualClock* clk,
     state_[idx].dirty.store(false, std::memory_order_release);
     stats_.dirty_writebacks++;
     stats_.flushes_by_source[static_cast<int>(source)]++;
+    if ((SlottedPage(f.data.get()).header()->flags &
+         kPageFlagAppendRegion) != 0) {
+      stats_.append_flushes_by_source[static_cast<int>(source)]++;
+    }
     m_writebacks_->Increment();
   }
   f.latch.UnlockShared();
@@ -644,9 +648,11 @@ std::vector<BufferPool::DirtyPageInfo> BufferPool::DirtyPagesWithFlags(
     FrameState& st = state_[i];
     if (st.valid && st.dirty.load(std::memory_order_acquire)) {
       const Frame& f = frames_[i];
+      auto written = last_write_.find(f.id);
       out.push_back(DirtyPageInfo{
           f.id, reinterpret_cast<const PageHeader*>(f.data.get())->flags,
-          st.referenced.load(std::memory_order_relaxed), st.sticky});
+          st.referenced.load(std::memory_order_relaxed), st.sticky,
+          written != last_write_.end() ? written->second : 0});
       if (clear_referenced) {
         st.referenced.store(false, std::memory_order_relaxed);
       }
@@ -665,6 +671,11 @@ std::vector<PageId> BufferPool::DirtyPages() const {
     }
   }
   return out;
+}
+
+uint64_t BufferPool::write_count() const {
+  MutexLock lock(&mu_);
+  return writes_;
 }
 
 BufferPoolStats BufferPool::stats() const {

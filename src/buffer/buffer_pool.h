@@ -43,6 +43,9 @@ struct BufferPoolStats {
   uint64_t evictions = 0;
   uint64_t dirty_writebacks = 0;
   uint64_t flushes_by_source[4] = {0, 0, 0, 0};
+  /// The SIAS append-region pages among flushes_by_source; the rest are
+  /// in-place pages (SI heap, indexes, catalog).
+  uint64_t append_flushes_by_source[4] = {0, 0, 0, 0};
 
   double HitRate() const {
     uint64_t total = hits + misses;
@@ -225,8 +228,15 @@ class BufferPool {
     uint32_t page_flags;
     bool referenced;
     bool sticky;  ///< open (still-filling) SIAS append page
+    /// write_count() just after the page's latest writeback; 0 if never
+    /// written.
+    uint64_t last_write;
   };
   std::vector<DirtyPageInfo> DirtyPagesWithFlags(bool clear_referenced = false);
+
+  /// Completed writebacks so far. A page whose DirtyPageInfo::last_write
+  /// exceeds a value read here was written after that read.
+  uint64_t write_count() const;
 
   BufferPoolStats stats() const;
   size_t num_frames() const { return frames_.size(); }

@@ -29,6 +29,7 @@ struct MvccCounters {
   obs::Counter* ww_conflicts;
   obs::HistogramMetric* traversal_depth;
   obs::Counter* gc_pages_examined;
+  obs::Counter* gc_pages_skipped;
   obs::Counter* gc_pages_classified;
   obs::Counter* gc_pages_reclaimed;
   obs::Counter* gc_versions_discarded;
@@ -45,6 +46,7 @@ struct MvccCounters {
     ww_conflicts = reg.GetCounter("mvcc.ww_conflicts");
     traversal_depth = reg.GetHistogram("mvcc.traversal_depth");
     gc_pages_examined = reg.GetCounter("mvcc.gc.pages_examined");
+    gc_pages_skipped = reg.GetCounter("mvcc.gc.pages_skipped");
     gc_pages_classified = reg.GetCounter("mvcc.gc.pages_classified");
     gc_pages_reclaimed = reg.GetCounter("mvcc.gc.pages_reclaimed");
     gc_versions_discarded = reg.GetCounter("mvcc.gc.versions_discarded");
@@ -894,17 +896,21 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
     // horizon: re-examining would double-reclaim.
     if (pending) continue;
 
-    // Pass 1: inventory of the page. The page is fetched even when its hint
-    // skips it: the hint saves the classification walks, not the visit.
+    // Too few possibly dead versions to reach the relocate threshold below:
+    // the page is neither classified nor fetched. A page without a hint
+    // (written before a restart) still reports true.
+    if (!region_.MayNeedGc(p)) {
+      if (stats != nullptr) stats->pages_skipped++;
+      Obs().gc_pages_skipped->Increment();
+      continue;
+    }
+    // Pass 1: inventory of the page.
     std::vector<SlotInfo> slots;
     {
       auto r = env_.pool->FetchPage(PageId{relation_, p}, clk);
       if (!r.ok()) return r.status();
       if (stats != nullptr) stats->pages_examined++;
       Obs().gc_pages_examined->Increment();
-      // Too few possibly dead versions to reach the relocate threshold
-      // below: no need to classify.
-      if (!region_.MayNeedGc(p)) continue;
       InventorySlots(&*r, &slots);
     }
     if (slots.empty()) continue;

@@ -216,6 +216,10 @@ class Database {
   size_t ckpt_drain_per_pass_ SIAS_GUARDED_BY(maintenance_mu_) = 0;
   Lsn pending_ckpt_lsn_ SIAS_GUARDED_BY(maintenance_mu_) = kInvalidLsn;
   bool ckpt_active_ SIAS_GUARDED_BY(maintenance_mu_) = false;
+  /// The pool's write_count() when the latest checkpoint (paced or sharp)
+  /// started. Under t2 the background writer leaves a non-append page
+  /// written since then to that checkpoint's cycle (see BgWriterPass).
+  uint64_t ckpt_write_mark_ SIAS_GUARDED_BY(maintenance_mu_) = 0;
   std::atomic<VTime> makespan_{0};
   /// Rank kDbMaintenance: the outermost engine latch — bgwriter and
   /// checkpoint passes hold it across catalog walks, region sealing and

@@ -36,10 +36,12 @@ struct TableStats {
 
 /// Garbage-collection result counters.
 struct GcStats {
-  /// Pages visited.
+  /// Pages fetched and inventoried.
   uint64_t pages_examined = 0;
-  /// SIAS pages whose items were locked and walked; a page whose hint shows
-  /// too little possible garbage is visited but not classified.
+  /// Sealed SIAS pages whose hint shows too little possible garbage to
+  /// reclaim: neither fetched nor classified.
+  uint64_t pages_skipped = 0;
+  /// SIAS pages whose items were locked and walked.
   uint64_t pages_classified = 0;
   uint64_t pages_reclaimed = 0;
   uint64_t versions_discarded = 0;

@@ -1121,6 +1121,7 @@ TEST_P(GcHintTest, HintCountsTuplesAndBoundsDeadVersions) {
     GcStats gc;
     ASSERT_TRUE(Vacuum(&gc).ok());
     total.pages_examined += gc.pages_examined;
+    total.pages_skipped += gc.pages_skipped;
     total.pages_classified += gc.pages_classified;
     total.pages_reclaimed += gc.pages_reclaimed;
     total.versions_relocated += gc.versions_relocated;
@@ -1145,7 +1146,7 @@ TEST_P(GcHintTest, HintCountsTuplesAndBoundsDeadVersions) {
   }
   // The hint skipped pages, and vacuum still classified some.
   EXPECT_GT(total.pages_classified, 0u);
-  EXPECT_LT(total.pages_classified, total.pages_examined);
+  EXPECT_GT(total.pages_skipped, 0u);
 
   auto t = env_.txns_.Begin(&clk_);
   for (const auto& [v, row] : value) {
